@@ -22,7 +22,7 @@ are determined.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compiler import ContextTriple
 from .errors import ContextError, ResourceLimitError
@@ -83,16 +83,6 @@ class Global:
 
     def __repr__(self):
         return "%r #_%d %s" % (self.p, self.reg, " ".join(map(repr, self.wrt)))
-
-
-@dataclass(frozen=True, slots=True)
-class And:
-    parts: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Or:
-    parts: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,42 +201,71 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
 
 
 # ------------------------------------------------------- language calculus
+#
+# An evaluated derivation is an outcome (word, conditions, post). The rules
+# below are shared by the tree evaluator behind the derivation dumps and the
+# fused evaluator behind language enumeration; each takes the placeholder it
+# introduces as an argument, since the two number placeholders differently.
 
-def _map_atom(p, x):
-    return p(x) if isinstance(x, Name) else x
+def _atoms(word, conds, post=()):
+    """Every atom of an outcome: the word, then the conditions, then the post."""
+    yield from word
+    for c in conds:
+        if isinstance(c, Neq):
+            yield c.l
+            yield c.r
+        else:
+            yield c.p
+            yield from c.wrt
+    for ch in post:
+        yield from ch.hist
+        yield ch.cv
 
 
-def _map_cond(p, c, left_post=None):
-    """Permutation action on a condition; with ``left_post`` also performs
-    the concatenation update of relative-global conditions."""
-    if isinstance(c, Local):
-        return Local(p(c.p), tuple(p(x) for x in c.wrt))
-    if isinstance(c, Global):
-        wrt = tuple(p(x) for x in c.wrt)
-        if left_post is not None and c.reg <= len(left_post):
-            wrt = left_post[c.reg - 1].hist + wrt
-        return Global(p(c.p), c.reg, wrt)
-    if isinstance(c, Neq):
-        return Neq(p(c.l), p(c.r))
-    if isinstance(c, And):
-        return And(tuple(_map_cond(p, x, left_post) for x in c.parts))
-    if isinstance(c, Or):
-        return Or(tuple(_map_cond(p, x, left_post) for x in c.parts))
-    raise TypeError(c)
+def _subst(f, word, conds, post=()):
+    """Apply the atom map f to every atom of an outcome; f fixes letters."""
+    out = []
+    for c in conds:
+        if isinstance(c, Local):
+            out.append(Local(f(c.p), tuple(map(f, c.wrt))))
+        elif isinstance(c, Global):
+            out.append(Global(f(c.p), c.reg, tuple(map(f, c.wrt))))
+        else:
+            out.append(Neq(f(c.l), f(c.r)))
+    post = tuple(Chronicle(tuple(map(f, ch.hist)), f(ch.cv)) for ch in post)
+    return tuple(map(f, word)), tuple(out), post
+
+
+def _under(n, pre, post, p):
+    """The underline rule: p is locally fresh and fresh for n's register."""
+    i = pre.index(n) + 1
+    conds = (Local(p, pre), Global(p, i, natural_chronicle(pre)[i - 1].hist))
+    swap = transpose(n, p)
+    return (p,), conds, tuple(Chronicle(c.hist + (p,), swap(c.cv)).dedup() for c in post)
+
+
+def _bind(x, sub, pre, q):
+    """The binder rule: the body's scratch atom x becomes the fresh q and
+    its register is dropped."""
+    swap = transpose(x, q)
+    word, conds, post = _subst(swap, sub[0], sub[1], sub[2][:-1])
+    return word, (Local(q, pre),) + conds, tuple(c.dedup() for c in post)
 
 
 def _concat(left, right, pre):
-    """The concatenation rule on evaluated results (word, cond, post)."""
+    """The concatenation rule: the right outcome is renamed by the
+    permutation matching the pre-context to the left post's current values,
+    and its relative-global conditions are extended by the left chronicle."""
     w1, phi1, p1 = left
-    w2, phi2, p2 = right
     pi = perm_from_lists(tuple(pre), hcv(p1))
-    word = w1 + tuple(_map_atom(pi, x) for x in w2)
-    cond = phi1 + tuple(_map_cond(pi, c, left_post=p1) for c in phi2)
-    post = tuple(
-        Chronicle(a.hist + tuple(pi(x) for x in b.hist), pi(b.cv)).dedup()
-        for a, b in zip(p1, p2)
+    w2, phi2, p2 = _subst(pi, *right)
+    phi2 = tuple(
+        Global(c.p, c.reg, p1[c.reg - 1].hist + c.wrt)
+        if isinstance(c, Global) and c.reg <= len(p1) else c
+        for c in phi2
     )
-    return word, cond, post
+    post = tuple(Chronicle(a.hist + b.hist, b.cv).dedup() for a, b in zip(p1, p2))
+    return w1 + w2, phi1 + phi2, post
 
 
 def lngc_eval(tree: DerivationTree) -> SchematicWord:
@@ -255,61 +274,34 @@ def lngc_eval(tree: DerivationTree) -> SchematicWord:
     Nodes are annotated with their (schematic word, real post-context)
     pairs as evaluation proceeds; the real posts are recomputed from the
     children and in general differ from the threaded static ones.
+    Placeholders are numbered in the order evaluation introduces them.
     """
     counter = itertools.count(1)
 
-    def fresh_ph():
-        return placeholder(next(counter))
-
     def go(node):
-        C, E = node.pre, node.post
-        r = node.rule
-        if r == "one":
-            res = ((), (), E)
-        elif r == "zero":
+        subs = [go(c) for c in node.children]
+        r, e, C, E = node.rule, node.expr, node.pre, node.post
+        if None in subs or r == "zero":
             res = None
+        elif r == "one":
+            res = ((), (), E)
         elif r == "letter":
-            res = ((node.expr.s,), (), E)
+            res = ((e.s,), (), E)
         elif r == "name":
-            res = ((node.expr.n,), (), E)
+            res = ((e.n,), (), E)
         elif r == "under":
-            n = node.expr.n
-            i = C.index(n) + 1
-            p = fresh_ph()
-            nat = natural_chronicle(C)
-            conds = (Local(p, C), Global(p, i, nat[i - 1].hist))
-            swap = transpose(n, p)
-            post = tuple(Chronicle(c.hist + (p,), swap(c.cv)).dedup() for c in E)
-            res = ((p,), conds, post)
+            res = _under(e.n, C, E, placeholder(next(counter)))
         elif r in ("sum1", "sum2", "star"):
-            res = go(node.children[0])
+            res = subs[0]
         elif r == "cat":
-            left = go(node.children[0])
-            right = go(node.children[1])
-            res = None if left is None or right is None else _concat(left, right, C)
+            res = _concat(subs[0], subs[1], C)
         elif r in ("bind=", "bind!="):
-            sub = go(node.children[0])
-            if sub is None:
-                res = None
-            else:
-                w, phi, p = sub
-                if len(p) != len(C) + 1:
-                    raise ContextError("binder child post has wrong register count")
-                q = fresh_ph()
-                swap = transpose(node.scratch, q)
-                word = tuple(_map_atom(swap, x) for x in w)
-                cond = (Local(q, C),) + tuple(_map_cond(swap, c) for c in phi)
-                post = tuple(
-                    Chronicle(tuple(swap(x) for x in c.hist), swap(c.cv)).dedup()
-                    for c in p[:-1]
-                )
-                res = (word, cond, post)
+            if len(subs[0][2]) != len(C) + 1:
+                raise ContextError("binder child post has wrong register count")
+            res = _bind(node.scratch, subs[0], C, placeholder(next(counter)))
         else:
             raise ValueError("unknown rule %r" % r)
-        if res is None:
-            node.result = (VOID, E)
-        else:
-            node.result = (SchematicWord(res[0], res[1]), res[2])
+        node.result = (VOID, E) if res is None else (SchematicWord(res[0], res[1]), res[2])
         return res
 
     go(tree)
@@ -319,11 +311,7 @@ def lngc_eval(tree: DerivationTree) -> SchematicWord:
 # ------------------------------------------------------------- membership
 
 def _binding_value(x, binding):
-    if isinstance(x, Name):
-        if is_placeholder(x):
-            return binding.get(x)
-        return x
-    return x
+    return binding.get(x) if is_placeholder(x) else x
 
 
 def _pair_ok(l, r, binding):
@@ -339,13 +327,7 @@ def _pair_ok(l, r, binding):
 def _cond_ok(c, binding):
     if isinstance(c, Neq):
         return _pair_ok(c.l, c.r, binding)
-    if isinstance(c, (Local, Global)):
-        return all(_pair_ok(c.p, x, binding) for x in c.wrt)
-    if isinstance(c, And):
-        return all(_cond_ok(x, binding) for x in c.parts)
-    if isinstance(c, Or):
-        return any(_cond_ok(x, binding) for x in c.parts)
-    raise TypeError(c)
+    return all(_pair_ok(c.p, x, binding) for x in c.wrt)
 
 
 def schematic_member(sw: SchematicWord, w) -> bool:
@@ -373,14 +355,6 @@ def schematic_member(sw: SchematicWord, w) -> bool:
 
 # ---------------------------------------------------------- normalization
 
-def _flatten(conds):
-    for c in conds:
-        if isinstance(c, And):
-            yield from _flatten(c.parts)
-        else:
-            yield c
-
-
 def _dedup_tuple(xs):
     seen = set()
     out = []
@@ -389,26 +363,6 @@ def _dedup_tuple(xs):
             seen.add(x)
             out.append(x)
     return tuple(out)
-
-
-def _placeholders_of(sw):
-    seen = []
-
-    def visit(x):
-        if is_placeholder(x) and x not in seen:
-            seen.append(x)
-
-    for x in sw.word:
-        visit(x)
-    for c in _flatten(sw.cond):
-        if isinstance(c, (Local, Global)):
-            visit(c.p)
-            for x in c.wrt:
-                visit(x)
-        elif isinstance(c, Neq):
-            visit(c.l)
-            visit(c.r)
-    return seen
 
 
 def _mask(x):
@@ -420,7 +374,7 @@ def _signature(p, sw):
     word_pos = tuple(i for i, x in enumerate(sw.word) if x is p)
     own = []
     member = []
-    for c in _flatten(sw.cond):
+    for c in sw.cond:
         if isinstance(c, (Local, Global)):
             kind = "L" if isinstance(c, Local) else "G%d" % c.reg
             if c.p is p:
@@ -445,19 +399,16 @@ def _cond_key(c):
         return (0, _atom_key(c.p), 0, tuple(map(_atom_key, c.wrt)))
     if isinstance(c, Global):
         return (1, _atom_key(c.p), c.reg, tuple(map(_atom_key, c.wrt)))
-    if isinstance(c, Neq):
-        return (2, _atom_key(c.l), 0, (_atom_key(c.r),))
-    return (3, repr(c), 0, ())
+    return (2, _atom_key(c.l), 0, (_atom_key(c.r),))
 
 
 def schematic_normalize(sw: SchematicWord) -> SchematicWord:
-    """Canonical form: flattened conjunction, deduplicated wrt lists,
-    placeholders renumbered by a renaming-invariant order, conditions
-    sorted. Idempotent."""
+    """Canonical form: deduplicated wrt lists, placeholders renumbered by a
+    renaming-invariant order, conditions sorted. Idempotent."""
     if sw.void:
         return VOID
     conds = []
-    for c in _flatten(sw.cond):
+    for c in sw.cond:
         if isinstance(c, Local):
             if c.wrt:
                 conds.append(Local(c.p, _dedup_tuple(c.wrt)))
@@ -467,26 +418,11 @@ def schematic_normalize(sw: SchematicWord) -> SchematicWord:
         else:
             conds.append(c)
     base = SchematicWord(sw.word, tuple(conds))
-    phs = _placeholders_of(base)
+    phs = {x for x in _atoms(base.word, base.cond) if is_placeholder(x)}
     order = sorted(phs, key=lambda p: (_signature(p, base), p.sort_key()))
     ren = {p: placeholder(i + 1) for i, p in enumerate(order)}
-
-    def sub(x):
-        return ren.get(x, x)
-
-    word = tuple(sub(x) for x in base.word)
-    out = []
-    for c in base.cond:
-        if isinstance(c, Local):
-            out.append(Local(sub(c.p), tuple(map(sub, c.wrt))))
-        elif isinstance(c, Global):
-            out.append(Global(sub(c.p), c.reg, tuple(map(sub, c.wrt))))
-        elif isinstance(c, Neq):
-            out.append(Neq(sub(c.l), sub(c.r)))
-        else:
-            out.append(c)
-    out.sort(key=_cond_key)
-    return SchematicWord(word, tuple(out))
+    word, out, _ = _subst(lambda x: ren.get(x, x), base.word, base.cond)
+    return SchematicWord(word, tuple(sorted(out, key=_cond_key)))
 
 
 def flatten_to_neqs(sw: SchematicWord) -> SchematicWord:
@@ -494,14 +430,12 @@ def flatten_to_neqs(sw: SchematicWord) -> SchematicWord:
     if sw.void:
         return VOID
     pairs = set()
-    for c in _flatten(sw.cond):
-        if isinstance(c, (Local, Global)):
-            for x in c.wrt:
-                pairs.add(tuple(sorted((c.p, x), key=_atom_key)))
-        elif isinstance(c, Neq):
+    for c in sw.cond:
+        if isinstance(c, Neq):
             pairs.add(tuple(sorted((c.l, c.r), key=_atom_key)))
         else:
-            raise ValueError("cannot flatten %r" % (c,))
+            for x in c.wrt:
+                pairs.add(tuple(sorted((c.p, x), key=_atom_key)))
     conds = tuple(Neq(l, r) for l, r in sorted(pairs, key=lambda p: tuple(map(_atom_key, p))))
     return schematic_normalize(SchematicWord(sw.word, conds))
 
@@ -590,21 +524,8 @@ def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
 # ------------------------------------------------- language of an expression
 
 def _nph(out):
-    word, conds, post = out
-    k = 0
-    for x in word:
-        if is_placeholder(x):
-            k = max(k, x.key)
-    for c in conds:
-        atoms = (c.p,) + c.wrt if isinstance(c, (Local, Global)) else (c.l, c.r)
-        for x in atoms:
-            if is_placeholder(x):
-                k = max(k, x.key)
-    for ch in post:
-        for x in ch.hist + (ch.cv,):
-            if is_placeholder(x):
-                k = max(k, x.key)
-    return k
+    """The largest placeholder index in an outcome, 0 if none."""
+    return max((x.key for x in _atoms(*out) if is_placeholder(x)), default=0)
 
 
 def _canon_outcome(word, conds, post):
@@ -640,58 +561,16 @@ def _canon_outcome(word, conds, post):
     conds = tuple(pruned)
 
     order = {}
-
-    def visit(x):
+    for x in _atoms(word, conds, post):
         if is_placeholder(x) and x not in order:
             order[x] = placeholder(len(order) + 1)
-
-    for x in word:
-        visit(x)
-    for c in conds:
-        if isinstance(c, (Local, Global)):
-            visit(c.p)
-            for x in c.wrt:
-                visit(x)
-        else:
-            visit(c.l)
-            visit(c.r)
-    for ch in post:
-        for x in ch.hist:
-            visit(x)
-        visit(ch.cv)
-
-    def sub(x):
-        return order.get(x, x)
-
-    word = tuple(sub(x) for x in word)
-    out = []
-    for c in conds:
-        if isinstance(c, Local):
-            out.append(Local(sub(c.p), tuple(map(sub, c.wrt))))
-        elif isinstance(c, Global):
-            out.append(Global(sub(c.p), c.reg, tuple(map(sub, c.wrt))))
-        else:
-            out.append(Neq(sub(c.l), sub(c.r)))
-    post = tuple(Chronicle(tuple(sub(x) for x in ch.hist), sub(ch.cv)) for ch in post)
-    return word, tuple(out), post
+    return _subst(lambda x: order.get(x, x), word, conds, post)
 
 
 def _shift_outcome(out, by):
     if by == 0:
         return out
-    word, conds, post = out
-    sub = lambda x: placeholder(x.key + by) if is_placeholder(x) else x
-    word = tuple(sub(x) for x in word)
-    shifted = []
-    for c in conds:
-        if isinstance(c, Local):
-            shifted.append(Local(sub(c.p), tuple(map(sub, c.wrt))))
-        elif isinstance(c, Global):
-            shifted.append(Global(sub(c.p), c.reg, tuple(map(sub, c.wrt))))
-        else:
-            shifted.append(Neq(sub(c.l), sub(c.r)))
-    post = tuple(Chronicle(tuple(sub(x) for x in ch.hist), sub(ch.cv)) for ch in post)
-    return word, tuple(shifted), post
+    return _subst(lambda x: placeholder(x.key + by) if is_placeholder(x) else x, *out)
 
 
 _OUTCOME_CAP = 200000
@@ -752,14 +631,7 @@ class _Evaluator:
                 raise ContextError("free name %r not in pre-context %r" % (e.n, list(pre)))
             if budget < 1:
                 return frozenset()
-            n = e.n
-            i = pre.index(n) + 1
-            p = placeholder(1)
-            nat = natural_chronicle(pre)
-            conds = (Local(p, pre), Global(p, i, nat[i - 1].hist))
-            swap = transpose(n, p)
-            newpost = tuple(Chronicle(c.hist + (p,), swap(c.cv)).dedup() for c in post)
-            return frozenset((_canon_outcome((p,), conds, newpost),))
+            return frozenset((_canon_outcome(*_under(e.n, pre, post, placeholder(1))),))
         if isinstance(e, Sum):
             return self.eval(e.l, pre, post, budget) | self.eval(e.r, pre, post, budget)
         if isinstance(e, Cat):
@@ -795,18 +667,10 @@ class _Evaluator:
             return frozenset(acc)
         if isinstance(e, Bind):
             x, body, spre, spost = _binder_subcontext(e, pre, post)
-            out = set()
-            for w, phi, p in self.eval(body, spre, spost, budget):
-                q = placeholder(_nph((w, phi, p)) + 1)
-                swap = transpose(x, q)
-                word = tuple(_map_atom(swap, t) for t in w)
-                cond = (Local(q, pre),) + tuple(_map_cond(swap, c) for c in phi)
-                newpost = tuple(
-                    Chronicle(tuple(swap(t) for t in c.hist), swap(c.cv)).dedup()
-                    for c in p[:-1]
-                )
-                out.add(_canon_outcome(word, cond, newpost))
-            return frozenset(out)
+            return frozenset(
+                _canon_outcome(*_bind(x, sub, pre, placeholder(_nph(sub) + 1)))
+                for sub in self.eval(body, spre, spost, budget)
+            )
         raise TypeError(e)
 
 
@@ -837,6 +701,16 @@ def language_member(e, w) -> bool:
     return False
 
 
+def _instances(sw, pool):
+    """The words binding the schematic word's placeholders to pool names
+    so that its conditions hold."""
+    slots = tuple(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
+    for choice in itertools.product(pool, repeat=len(slots)):
+        binding = dict(zip(slots, choice))
+        if all(_cond_ok(c, binding) for c in sw.cond):
+            yield tuple(binding.get(x, x) for x in sw.word)
+
+
 def language_enumerate(e, pool, maxlen):
     """The bounded language of a closed expression over the given name pool."""
     _require_closed(e)
@@ -845,17 +719,7 @@ def language_enumerate(e, pool, maxlen):
         raise ValueError("pool must be repetition-free")
     words = set()
     for sw in schematic_words_of(e, maxlen=maxlen, star_bound=maxlen + 1):
-        slots = []
-        seen = set()
-        for x in sw.word:
-            if is_placeholder(x) and x not in seen:
-                seen.add(x)
-                slots.append(x)
-        for choice in itertools.product(pool, repeat=len(slots)):
-            binding = dict(zip(slots, choice))
-            if not all(_cond_ok(c, binding) for c in sw.cond):
-                continue
-            words.add(tuple(binding.get(x, x) for x in sw.word))
+        words.update(_instances(sw, pool))
     return words
 
 
@@ -866,16 +730,8 @@ def forest_language_enumerate(e, pool, maxlen):
     words = set()
     for tree in ctxc_derive(ContextTriple((), e, ()), maxlen + 1):
         sw = lngc_eval(tree)
-        if sw.void or len(sw.word) > maxlen:
-            continue
-        slots = []
-        for x in sw.word:
-            if is_placeholder(x) and x not in slots:
-                slots.append(x)
-        for choice in itertools.product(pool, repeat=len(slots)):
-            binding = dict(zip(slots, choice))
-            if all(_cond_ok(c, binding) for c in sw.cond):
-                words.add(tuple(binding.get(x, x) for x in sw.word))
+        if not sw.void and len(sw.word) <= maxlen:
+            words.update(_instances(sw, pool))
     return words
 
 

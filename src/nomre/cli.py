@@ -7,12 +7,10 @@ names $-prefixed; the empty string is the empty word.
 """
 
 import argparse
-import json
-import random
 import sys
 from dataclasses import dataclass
 
-from . import automata, calculus, compiler, expr as expr_mod, extract
+from . import automata, calculus, compiler, extract
 from .errors import (
     CompileError,
     ContextError,
@@ -22,7 +20,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .expr import NreClass, check_wellformed, classify, parse, render
+from .expr import check_wellformed, classify, parse, render
 from .nominal import Letter, name
 
 EXIT_USAGE = 2
@@ -37,7 +35,6 @@ class RunConfig:
     pool: tuple
     maxlen: int
     star_bound: int
-    seed: int
 
     def __post_init__(self):
         if len(set(self.pool)) != len(self.pool):
@@ -92,7 +89,6 @@ def _config(args):
         pool=_parse_pool(getattr(args, "pool", "") or ""),
         maxlen=getattr(args, "maxlen", 0),
         star_bound=getattr(args, "star_bound", 2),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -184,8 +180,6 @@ def _add_common(p, pool=False, maxlen=False, letters=False, star=False):
         p.add_argument("--maxlen", type=int, default=4)
     if star:
         p.add_argument("--star-bound", dest="star_bound", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
 
 
 def build_parser():
@@ -200,6 +194,7 @@ def build_parser():
     p = sub.add_parser("compile", help="expression file to automaton json")
     p.add_argument("expr_file")
     p.add_argument("out")
+    p.add_argument("--format", choices=["json", "dot"], default="json")
     _add_common(p, letters=True)
     p.set_defaults(fn=cmd_compile)
 
@@ -242,7 +237,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except ParseError as e:

@@ -291,10 +291,6 @@ def _walk(e):
         yield from _walk(e.body)
 
 
-def letters_of(e):
-    return frozenset(sub.s for sub in _walk(e) if isinstance(sub, Lit))
-
-
 def classify(e):
     """Least grammar class containing e."""
     has_under = any(isinstance(sub, Under) for sub in _walk(e))

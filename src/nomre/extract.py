@@ -12,7 +12,7 @@ the choice immaterial.
 
 from dataclasses import dataclass
 
-from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under, validate
+from .automata import Cda, State, validate
 from .errors import ValidationError
 from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO, Zero
 from .nominal import name

@@ -31,8 +31,7 @@ class Name:
         obj = super().__new__(cls)
         object.__setattr__(obj, "kind", kind)
         object.__setattr__(obj, "key", key)
-        cls._table[(kind, key)] = obj
-        return obj
+        return cls._table.setdefault((kind, key), obj)
 
     def __setattr__(self, *_):
         raise AttributeError("Name is immutable")
@@ -82,8 +81,7 @@ class Letter:
             return cached
         obj = super().__new__(cls)
         object.__setattr__(obj, "sym", sym)
-        cls._table[sym] = obj
-        return obj
+        return cls._table.setdefault(sym, obj)
 
     def __setattr__(self, *_):
         raise AttributeError("Letter is immutable")
@@ -272,10 +270,6 @@ def extant_delete(extant, names):
     return tuple(c.delete(names) for c in extant)
 
 
-def extant_dedup(extant):
-    return tuple(c.dedup() for c in extant)
-
-
 def natural_chronicle(pre):
     """The natural extant chronicle of a pre-context.
 
@@ -283,15 +277,3 @@ def natural_chronicle(pre):
     """
     pre = tuple(pre)
     return tuple(Chronicle(pre[i:], pre[i]) for i in range(len(pre)))
-
-
-def apply_perm_chronicle(p, c):
-    return Chronicle(tuple(p(x) for x in c.hist), p(c.cv))
-
-
-def apply_perm_extant(p, extant):
-    return tuple(apply_perm_chronicle(p, c) for c in extant)
-
-
-def names_of_word(w):
-    return frozenset(t for t in w if isinstance(t, Name))

@@ -268,7 +268,7 @@ def test_cat_associative_at_language_level(rng, pool3):
         assert l == r
 
 
-def test_forest_agrees_with_fused(rng, pool3):
+def test_forest_agrees_with_fused(rng, pool3, corpus_exprs):
     checked = 0
     for _ in range(25):
         e = random_nre(rng, size=4)
@@ -279,6 +279,12 @@ def test_forest_agrees_with_fused(rng, pool3):
         checked += 1
         assert a == language_enumerate(e, pool3, 3)
     assert checked >= 10
+    # diamond and big extend relative-global conditions across permuting
+    # closes; lths exceeds the forest cap
+    pool4 = default_pool(4)
+    for key in ("lses", "lonet", "succ_distinct", "diamond", "big"):
+        e = corpus_exprs[key]
+        assert forest_language_enumerate(e, pool4, 7) == language_enumerate(e, pool4, 7), key
 
 
 def test_permutation_closure_of_language(rng, pool3, corpus_exprs):

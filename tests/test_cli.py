@@ -139,9 +139,16 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["check", missing]) == 2
 
 
-def test_compile_dot_format(lses_file, capsys):
+def test_compile_dot_format(lses_file, lses_json, capsys):
     assert main(["compile", lses_file, "-", "--letters", "a,b", "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
+    # --format belongs to compile alone, and only json and dot exist
+    for argv in (["compile", lses_file, "-", "--format", "text"],
+                 ["accept", lses_json, "a b", "--format", "dot"],
+                 ["accept", lses_json, "a b", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_resource_limit_exit(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -171,3 +173,28 @@ def test_check_extant_rejects_duplicate_current_values():
 def test_name_ordering_is_total_and_stable():
     xs = [name("b"), name("a"), sys_name(1), sys_name(0)]
     assert sorted(xs, key=lambda x: x.sort_key()) == [name("a"), name("b"), sys_name(0), sys_name(1)]
+
+
+def test_interning_is_thread_safe():
+    # a tiny switch interval makes threads interleave inside the constructors
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(100):
+            spellings = ["race%d_%d" % (trial, i) for i in range(200)]
+            barrier = threading.Barrier(8)
+            got = [None] * 8
+
+            def intern(slot):
+                barrier.wait()
+                got[slot] = [(name(s), Letter(s)) for s in spellings]
+
+            threads = [threading.Thread(target=intern, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for objs in got[1:]:
+                assert all(x is y and u is v for (x, u), (y, v) in zip(got[0], objs))
+    finally:
+        sys.setswitchinterval(old)
