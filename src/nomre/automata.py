@@ -8,9 +8,10 @@ value into register i).
 
 Runs work on configurations (state, input position, extant chronicle).
 Freshness tests only ever use membership, so the run engine keeps each
-chronicle's history as a set and collapses machine-chosen fresh names when
-deciding whether a configuration was already visited; the input word's own
-names are never collapsed.
+chronicle's history as a set. A run can only compare a name with the names
+of its input, so the engine lets one marker stand for every allocated name
+outside the input; its configurations then hold input names only. The
+reference stepper ``step`` chooses real machine names instead.
 """
 
 from dataclasses import dataclass
@@ -99,7 +100,6 @@ class CdaClass(enum.Enum):
 @dataclass(frozen=True)
 class ClassInfo:
     tag: CdaClass
-    deterministic: bool
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def validate(a):
 
 
 def class_of(a):
-    """Least automaton class, plus the determinism flag.
+    """Least automaton class of a valid automaton.
 
     Chronicle automata never close below the top register; deallocating
     automata have no underlined reads at all.
@@ -175,28 +175,7 @@ def class_of(a):
         tag = CdaClass.DA
     else:
         tag = CdaClass.CDA
-    det = _deterministic(a, sm)
-    return ClassInfo(tag, det)
-
-
-def _deterministic(a, sm):
-    from collections import Counter
-
-    counts = Counter((f, l) for f, l, _ in a.transitions)
-    if any(l.kind == "eps" for _, l in counts):
-        return False
-    # every possible label of every state must have exactly one successor
-    letters = a.letters()
-    for s in a.states:
-        want = [lab_letter(x) for x in sorted(letters, key=lambda l: l.sym)]
-        want += [lab_reg(i) for i in range(1, s.regs + 1)]
-        want += [STAR]
-        want += [lab_under(i) for i in range(1, s.regs + 1)]
-        want += [lab_close(i) for i in range(1, s.regs + 1)]
-        for lab in want:
-            if counts.get((s.id, lab), 0) != 1:
-                return False
-    return True
+    return ClassInfo(tag)
 
 
 # ------------------------------------------------------------- run engine
@@ -208,24 +187,32 @@ class Configuration:
     extant: tuple  # of Chronicle, register order
 
 
-_ANON = ("#",)  # sentinel for machine-chosen names in visited keys
+# The one value every allocation of a name outside the input stands for. A
+# run can only ever compare such a name with the input's names, and it never
+# equals one, so all of them are interchangeable. _FRESH is not a Name and
+# enters no history, so a configuration (state, regs) holds input names only
+# and is its own visited key.
+_FRESH = object()
 
 
 class _Engine:
-    """Shared machinery for accept/enumerate over one automaton."""
+    """Shared machinery for accept/enumerate over one automaton.
 
-    def __init__(self, a):
+    ``n_names`` is the number of distinct names of the input (the word, or
+    the pool), which bounds the chain of non-consuming moves.
+    """
+
+    def __init__(self, a, n_names):
         rep = validate(a)
         if not rep.ok:
             raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
-        self.a = a
-        self.sm = a.state_map()
         self.finals = a.finals()
+        self.cap = 10 * max(1, len(a.states)) * (a.max_regs() + 1) * (n_names + 2)
         self.by_state = {s.id: {"eps": [], "star": [], "close": [], "letter": {}, "reg": {}, "under": {}} for s in a.states}
         for f, lab, t in a.transitions:
             slot = self.by_state[f]
             if lab.kind in ("eps", "star"):
-                slot[lab.kind].append((lab, t))
+                slot[lab.kind].append(t)
             elif lab.kind == "close":
                 slot["close"].append((lab.index, t))
             elif lab.kind == "letter":
@@ -233,53 +220,31 @@ class _Engine:
             else:
                 slot[lab.kind].setdefault(lab.index, []).append(t)
 
-    def cap(self, relevant):
-        return 10 * max(1, len(self.a.states)) * (self.a.max_regs() + 1) * (len(relevant) + 2)
-
-    def key(self, state, regs, relevant):
-        return (
-            state,
-            tuple(
-                (cv if cv in relevant else _ANON, hist & relevant)
-                for cv, hist in regs
-            ),
-        )
-
-    def closure(self, configs, relevant, star_names):
+    def closure(self, configs, star_names):
         """All configs reachable via non-consuming moves (eps, *, close).
 
-        ``star_names`` are the data-dependent candidates for a fresh
-        allocation; one canonical machine name is always added.
+        A fresh allocation branches over ``star_names``, the input names it
+        may still meet, minus the current values, plus ``_FRESH``.
         """
-        out = {}
-        frontier = []
-        for cfg in configs:
-            k = self.key(cfg[0], cfg[1], relevant)
-            if k not in out:
-                out[k] = cfg
-                frontier.append(cfg)
+        out = set(configs)
+        frontier = out
         depth = 0
-        cap = self.cap(relevant)
         while frontier:
             depth += 1
-            if depth > cap:
-                raise ResourceLimitError("non-consuming move chain exceeded %d steps" % cap)
+            if depth > self.cap:
+                raise ResourceLimitError("non-consuming move chain exceeded %d steps" % self.cap)
             nxt = []
             for state, regs in frontier:
                 slot = self.by_state[state]
-                for _, t in slot["eps"]:
-                    self._push((t, regs), out, nxt, relevant)
+                nxt.extend((t, regs) for t in slot["eps"])
                 if slot["star"]:
                     cvs = frozenset(cv for cv, _ in regs)
-                    pool = [n for n in star_names if n not in cvs]
-                    seen_names = set(cvs)
-                    for _, h in regs:
-                        seen_names |= h
-                    pool.append(canonical_fresh(seen_names))
-                    for _, t in slot["star"]:
-                        for n in pool:
-                            nregs = tuple((cv, h | {n}) for cv, h in regs) + ((n, frozenset((n,))),)
-                            self._push((t, nregs), out, nxt, relevant)
+                    allocs = [
+                        tuple((cv, h | {n}) for cv, h in regs) + ((n, frozenset((n,))),)
+                        for n in star_names if n not in cvs
+                    ]
+                    allocs.append(regs + ((_FRESH, frozenset()),))
+                    nxt.extend((t, nregs) for t in slot["star"] for nregs in allocs)
                 for i, t in slot["close"]:
                     if not regs or i > len(regs):
                         continue
@@ -287,15 +252,10 @@ class _Engine:
                     nregs = regs[:-1]
                     if i <= len(nregs):
                         nregs = nregs[: i - 1] + ((top_cv, nregs[i - 1][1]),) + nregs[i:]
-                    self._push((t, nregs), out, nxt, relevant)
-            frontier = nxt
-        return out
-
-    def _push(self, cfg, out, frontier, relevant):
-        k = self.key(cfg[0], cfg[1], relevant)
-        if k not in out:
-            out[k] = cfg
-            frontier.append(cfg)
+                    nxt.append((t, nregs))
+            frontier = set(nxt) - out
+            out |= frontier
+        return frozenset(out)
 
     def consume(self, configs, token):
         """One-symbol successors for every config in the macro state."""
@@ -325,20 +285,20 @@ class _Engine:
         return nxt
 
     def accepting(self, configs):
-        return any(state in self.finals and not regs for state, regs in configs.values())
+        return any(state in self.finals and not regs for state, regs in configs)
 
 
 def accept(a, w):
     """Whether some run consumes all of w and ends final with no registers."""
-    eng = _Engine(a)
     w = tuple(w)
-    relevant = frozenset(t for t in w if isinstance(t, Name))
-    macro = eng.closure([(a.initial, ())], relevant, _suffix_names(w, 0))
+    names = _suffix_names(w, 0)
+    eng = _Engine(a, len(names))
+    macro = eng.closure([(a.initial, ())], names)
     for pos in range(len(w)):
-        stepped = eng.consume(macro.values(), w[pos])
+        stepped = eng.consume(macro, w[pos])
         if not stepped:
             return False
-        macro = eng.closure(stepped, relevant, _suffix_names(w, pos + 1))
+        macro = eng.closure(stepped, _suffix_names(w, pos + 1))
     return eng.accepting(macro)
 
 
@@ -352,19 +312,24 @@ def _suffix_names(w, pos):
     return tuple(out)
 
 
+def check_bounds(pool, maxlen):
+    """Reject a pool with repeated names and a negative length bound."""
+    if len(set(pool)) != len(pool):
+        raise ValidationError("pool must be repetition-free")
+    if maxlen < 0:
+        raise ValidationError("maxlen must be >= 0")
+
+
 def enumerate_words(a, pool, maxlen):
     """All accepted words over the letters of ``a`` plus ``pool``, length <= maxlen."""
     pool = tuple(pool)
-    if len(set(pool)) != len(pool):
-        raise ValueError("pool must be repetition-free")
-    eng = _Engine(a)
-    relevant = frozenset(pool)
+    check_bounds(pool, maxlen)
+    eng = _Engine(a, len(pool))
     tokens = sorted(a.letters(), key=lambda l: l.sym) + list(pool)
     memo = {}
 
     def go(macro, remaining):
-        mk = (frozenset(macro.keys()), remaining)
-        got = memo.get(mk)
+        got = memo.get((macro, remaining))
         if got is not None:
             return got
         out = set()
@@ -372,16 +337,16 @@ def enumerate_words(a, pool, maxlen):
             out.add(())
         if remaining > 0:
             for tok in tokens:
-                stepped = eng.consume(macro.values(), tok)
+                stepped = eng.consume(macro, tok)
                 if not stepped:
                     continue
-                nxt = eng.closure(stepped, relevant, pool)
+                nxt = eng.closure(stepped, pool)
                 for suf in go(nxt, remaining - 1):
                     out.add((tok,) + suf)
-        memo[mk] = frozenset(out)
-        return memo[mk]
+        memo[macro, remaining] = frozenset(out)
+        return memo[macro, remaining]
 
-    start = eng.closure([(a.initial, ())], relevant, pool)
+    start = eng.closure([(a.initial, ())], pool)
     return set(go(start, maxlen))
 
 

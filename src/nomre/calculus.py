@@ -24,6 +24,7 @@ are determined.
 import itertools
 from dataclasses import dataclass
 
+from .automata import check_bounds
 from .compiler import ContextTriple
 from .errors import ContextError, ResourceLimitError
 from .expr import (
@@ -535,7 +536,9 @@ def _canon_outcome(word, conds, post):
     A placeholder that occurs neither in the word nor as a current value of
     the post can never reach a word later (concatenation promotes current
     values only), so over an infinite universe every inequation on it is
-    satisfiable and drops out. Relative-global conditions with an
+    satisfiable and drops out. Such a placeholder leaves the post's
+    histories too: a history only ever feeds relative-global conditions,
+    where it would drop out again. Relative-global conditions with an
     observable owner are kept even when their list empties: concatenation
     still extends them with the left chronicle.
     """
@@ -559,6 +562,7 @@ def _canon_outcome(word, conds, post):
             if obs(c.l) and obs(c.r) or c.l is c.r:
                 pruned.append(c)
     conds = tuple(pruned)
+    post = tuple(Chronicle(tuple(filter(obs, ch.hist)), ch.cv) for ch in post)
 
     order = {}
     for x in _atoms(word, conds, post):
@@ -715,8 +719,7 @@ def language_enumerate(e, pool, maxlen):
     """The bounded language of a closed expression over the given name pool."""
     _require_closed(e)
     pool = tuple(pool)
-    if len(set(pool)) != len(pool):
-        raise ValueError("pool must be repetition-free")
+    check_bounds(pool, maxlen)
     words = set()
     for sw in schematic_words_of(e, maxlen=maxlen, star_bound=maxlen + 1):
         words.update(_instances(sw, pool))

@@ -8,7 +8,6 @@ names $-prefixed; the empty string is the empty word.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import automata, calculus, compiler, extract
 from .errors import (
@@ -27,20 +26,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_RESOURCE = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    alphabet: tuple
-    pool: tuple
-    maxlen: int
-    star_bound: int
-
-    def __post_init__(self):
-        if len(set(self.pool)) != len(self.pool):
-            raise ValidationError("pool must be repetition-free")
-        if self.maxlen < 0:
-            raise ValidationError("maxlen must be >= 0")
 
 
 def parse_word(text):
@@ -83,18 +68,8 @@ def _load_automaton(path):
         return automata.from_json(f.read())
 
 
-def _config(args):
-    return RunConfig(
-        alphabet=_parse_letters(getattr(args, "letters", "") or ""),
-        pool=_parse_pool(getattr(args, "pool", "") or ""),
-        maxlen=getattr(args, "maxlen", 0),
-        star_bound=getattr(args, "star_bound", 2),
-    )
-
-
 def cmd_check(args):
-    cfg = _config(args)
-    e = _load_expr(args.expr_file, cfg.alphabet)
+    e = _load_expr(args.expr_file, _parse_letters(args.letters))
     rep = check_wellformed(e)
     print("class: %s" % classify(e).value)
     if rep.ok:
@@ -107,8 +82,7 @@ def cmd_check(args):
 
 
 def cmd_compile(args):
-    cfg = _config(args)
-    e = _load_expr(args.expr_file, cfg.alphabet)
+    e = _load_expr(args.expr_file, _parse_letters(args.letters))
     a = compiler.compile_expr(e)
     payload = automata.to_dot(a) if args.format == "dot" else automata.to_json(a)
     if args.out == "-":
@@ -126,19 +100,17 @@ def cmd_accept(args):
 
 
 def cmd_enumerate(args):
-    cfg = _config(args)
     a = _load_automaton(args.automaton)
-    words = automata.enumerate_words(a, cfg.pool, cfg.maxlen)
+    words = automata.enumerate_words(a, _parse_pool(args.pool), args.maxlen)
     for w in sorted(words, key=automata.word_sort_key):
         print(format_word(w))
     return 0
 
 
 def cmd_equiv(args):
-    cfg = _config(args)
     a = _load_automaton(args.automaton)
     b = _load_automaton(args.automaton_b)
-    ce = automata.equiv_bounded(a, b, cfg.pool, cfg.maxlen)
+    ce = automata.equiv_bounded(a, b, _parse_pool(args.pool), args.maxlen)
     if ce is None:
         print("equivalent (bounded)")
         return 0
@@ -159,9 +131,8 @@ def cmd_extract(args):
 
 
 def cmd_derive(args):
-    cfg = _config(args)
-    e = _load_expr(args.expr_file, cfg.alphabet)
-    sys.stdout.write(calculus.derivation_dump(e, star_bound=cfg.star_bound))
+    e = _load_expr(args.expr_file, _parse_letters(args.letters))
+    sys.stdout.write(calculus.derivation_dump(e, star_bound=args.star_bound))
     return 0
 
 

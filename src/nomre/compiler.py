@@ -10,9 +10,11 @@ register that held the close name otherwise.
 
 Post-contexts drift at run time once sums or stars are involved; the
 automaton semantics tracks real chronicles, and the static post-context
-is consulted only for close-index resolution. Star bodies compile
-against the natural chronicle of C, the frame every loop entry restarts
-from.
+is consulted only for close-index resolution. That needs only its
+current values, so the compiler threads those alone. The left side of a
+concatenation and star bodies compile against the natural chronicle of
+C, whose current values are C itself: the frame every loop entry
+restarts from.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
 from .errors import CompileError
 from .expr import Bind, Cat, Lit, Nam, One, Star, Sum, Under, Zero, check_wellformed, render
-from .nominal import Chronicle, hcv, natural_chronicle, sys_name, transpose
+from .nominal import Chronicle, hcv, sys_name, transpose
 from .expr import apply_perm_expr
 
 
@@ -67,8 +69,9 @@ class _Builder:
         self.scratch += 1
         return n
 
-    def build(self, e, pre, post):
-        """Returns (initial, finals) of the sub-automaton for pre ‡ e ‡ post."""
+    def build(self, e, pre, vals):
+        """Returns (initial, finals) of the sub-automaton for pre ‡ e ‡ post,
+        where vals are the current values of the static post-context."""
         k = len(pre)
         if isinstance(e, One):
             q = self.state(k)
@@ -91,14 +94,14 @@ class _Builder:
             return q0, [q1]
         if isinstance(e, Sum):
             q0 = self.state(k)
-            i1, f1 = self.build(e.l, pre, post)
-            i2, f2 = self.build(e.r, pre, post)
+            i1, f1 = self.build(e.l, pre, vals)
+            i2, f2 = self.build(e.r, pre, vals)
             self.edge(q0, EPS, i1)
             self.edge(q0, EPS, i2)
             return q0, f1 + f2
         if isinstance(e, Cat):
-            i1, f1 = self.build(e.l, pre, natural_chronicle(pre))
-            i2, f2 = self.build(e.r, pre, post)
+            i1, f1 = self.build(e.l, pre, pre)
+            i2, f2 = self.build(e.r, pre, vals)
             for f in f1:
                 self.edge(f, EPS, i2)
             return i1, f2
@@ -108,38 +111,34 @@ class _Builder:
             # can re-enter its own initial mid-run (a star at the head of
             # the body does exactly that).
             hub = self.state(k)
-            i1, f1 = self.build(e.e, pre, natural_chronicle(pre))
+            i1, f1 = self.build(e.e, pre, pre)
             self.edge(hub, EPS, i1)
             for f in f1:
                 self.edge(f, EPS, hub)
             return hub, [hub]
         if isinstance(e, Bind):
-            return self._build_binder(e, pre, post)
+            return self._build_binder(e, pre, vals)
         raise TypeError(e)
 
-    def _build_binder(self, e, pre, post):
+    def _build_binder(self, e, pre, vals):
         k = len(pre)
         x = self.fresh_name()
         body = apply_perm_expr(transpose(e.n, x), e.body)
         if e.close is e.n:
-            sub_post = tuple(c.extend((x,)) for c in post) + (Chronicle((x,), x),)
+            sub_vals = vals + (x,)
         else:
-            if e.close not in hcv(post):
+            if e.close not in vals:
                 raise CompileError(
                     "close name %r is not a current value of the post-context of `%s`"
                     % (e.close, render(e))
                 )
-            swap = transpose(e.close, x)
-            sub_post = tuple(
-                Chronicle(c.hist + (x,), swap(c.cv)) for c in post
-            ) + (Chronicle((x, e.close), e.close),)
-        vals = hcv(sub_post)
-        if vals.count(x) != 1:
+            sub_vals = tuple(map(transpose(e.close, x), vals)) + (e.close,)
+        if sub_vals.count(x) != 1:
             raise CompileError("no unique close register for `%s`" % render(e))
-        close_ix = vals.index(x) + 1
+        close_ix = sub_vals.index(x) + 1
         qs = self.state(k)
         qt = self.state(k)
-        i0, fs = self.build(body, pre + (x,), sub_post)
+        i0, fs = self.build(body, pre + (x,), sub_vals)
         self.edge(qs, STAR, i0)
         for f in fs:
             self.edge(f, lab_close(close_ix), qt)
@@ -152,7 +151,7 @@ def compile_in_context(t: ContextTriple) -> CdaInContext:
     for c in t.post:
         if not isinstance(c, Chronicle):
             raise CompileError("post-context must be an extant chronicle")
-    init, finals = b.build(t.payload, tuple(t.pre), tuple(t.post))
+    init, finals = b.build(t.payload, tuple(t.pre), hcv(t.post))
     keep_final = set(finals)
     states = tuple(State(s.id, s.regs, s.id in keep_final) for s in b.states)
     a = Cda(states, init, tuple(b.transitions))

@@ -30,14 +30,16 @@ from nomre.automata import (
     validate,
     word_sort_key,
 )
+from nomre.calculus import language_enumerate
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, lonet_automaton, lses_automaton
 from nomre.errors import SchemaError, ValidationError
-from nomre.expr import parse
-from nomre.genexpr import random_nre
-from nomre.nominal import Letter, chronicle, name, sys_name
+from nomre.expr import parse, render
+from nomre.genexpr import corpus_of_classes, random_nre
+from nomre.nominal import Letter, chronicle, name, placeholder, sys_name
 
 r1, r2, r3 = name("r1"), name("r2"), name("r3")
+S0, S1, P1 = sys_name(0), sys_name(1), placeholder(1)
 A, B = Letter("a"), Letter("b")
 
 
@@ -75,7 +77,6 @@ def test_validate_index_range():
 def test_class_of_lses_is_ca():
     info = class_of(lses_automaton())
     assert info.tag is CdaClass.CA
-    assert not info.deterministic
 
 
 def test_class_of_non_top_close_is_not_ca():
@@ -292,21 +293,46 @@ def test_engine_agrees_with_reference(rng, pool3):
             (r1, r1),
             (A, B),
             (r1, r2, r1),
+            (S1, S0),
+            (A, S1, S0),
+            (S0, P1, S0),
+            (r1, S1, P1),
         ):
             assert accept(a, w) == accept_reference(a, w)
+    # reserved names in the word are input names like any other
+    lses = lses_automaton()
+    for w in ((A, B, S1, S0), (A, B, S0, P1, S1), (A, B, r1, S0, S0)):
+        assert accept(lses, w) == accept_reference(lses, w)
+
+
+def test_kleene_differential_over_reserved_pool():
+    pool = (S0, P1, S1)
+    for e in corpus_of_classes(seed=101, total=200):
+        assert enumerate_words(compile_expr(e), pool, 4) == language_enumerate(e, pool, 4), render(e)
+
+
+def test_enumerations_reject_bad_bounds(pool3):
+    e = P("1")
+    a = compile_expr(e)
+    for pool, maxlen in (((r1, r1), 2), (pool3, -1)):
+        with pytest.raises(ValidationError):
+            enumerate_words(a, pool, maxlen)
+        with pytest.raises(ValidationError):
+            language_enumerate(e, pool, maxlen)
 
 
 def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_exprs):
     # replacing the canonical fresh sequence by a disjoint one changes nothing
     a = compile_expr(corpus_exprs["succ_distinct"])
-    base = enumerate_words(a, pool3, 3)
+    words = [w for n in range(4) for w in itertools.product(pool3, repeat=n)]
+    base = [accept_reference(a, w) for w in words]
     orig = am.canonical_fresh
 
     def shifted(avoid):
         return orig(avoid | {sys_name(i) for i in range(40)})
 
     monkeypatch.setattr(am, "canonical_fresh", shifted)
-    assert enumerate_words(a, pool3, 3) == base
+    assert [accept_reference(a, w) for w in words] == base
 
 
 def test_permutation_closure_of_acceptance(rng, pool3, corpus_exprs):

@@ -213,6 +213,14 @@ def test_language_enumerate_succ_distinct(pool3):
     assert exact3 == brute
 
 
+def test_language_enumerate_nested_binders_under_stars(pool3):
+    # placeholders left only in post histories must not multiply outcomes
+    e = P("<$x.<$y.<$z.$z* + 1*>*>*>")
+    words = language_enumerate(e, pool3, 5)
+    assert words == enumerate_words(compile_expr(e), pool3, 5)
+    assert len(words) == 364
+
+
 def test_normalize_idempotent(rng, pool3):
     seen = 0
     for _ in range(40):

@@ -73,6 +73,11 @@ def test_enumerate_output(lses_json, capsys):
     assert "a b $r1 $r1" not in out
 
 
+def test_enumerate_rejects_bad_bounds(lses_json, capsys):
+    assert main(["enumerate", lses_json, "--pool", "$r1,$r1"]) == 4
+    assert main(["enumerate", lses_json, "--maxlen", "-1"]) == 4
+
+
 def test_equiv_output(lses_file, lses_json, tmp_path, capsys):
     cj = tmp_path / "c.json"
     assert main(["compile", lses_file, str(cj), "--letters", "a,b"]) == 0
