@@ -11,7 +11,6 @@ semantics.
 from .automata import (
     Cda,
     CdaClass,
-    Configuration,
     Label,
     State,
     accept,
@@ -19,7 +18,6 @@ from .automata import (
     enumerate_words,
     equiv_bounded,
     from_json,
-    step,
     to_dot,
     to_json,
     validate,
@@ -32,16 +30,16 @@ from .calculus import (
     SchematicWord,
     ctxc_derive,
     derivation_dump,
-    equal_mod_renaming,
     flatten_to_neqs,
     language_enumerate,
     language_member,
     lngc_eval,
+    lngc_results,
     schematic_member,
     schematic_normalize,
     schematic_words_of,
 )
-from .compiler import CdaInContext, ContextTriple, compile_expr, compile_in_context
+from .compiler import ContextTriple, compile_expr, compile_in_context
 from .errors import (
     CompileError,
     ContextError,
@@ -68,7 +66,6 @@ from .nominal import (
     Letter,
     Name,
     Perm,
-    canonical_fresh,
     name,
     perm_from_lists,
     placeholder,

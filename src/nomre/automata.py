@@ -11,7 +11,7 @@ Freshness tests only ever use membership, so the run engine keeps each
 chronicle's history as a set. A run can only compare a name with the names
 of its input, so the engine lets one marker stand for every allocated name
 outside the input; its configurations then hold input names only. The
-reference stepper ``step`` chooses real machine names instead.
+reference stepper in ``nomre.oracle`` chooses real machine names instead.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Chronicle, Letter, Name, canonical_fresh, hcv
+from .nominal import Letter, Name
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,13 +180,6 @@ def class_of(a):
 
 # ------------------------------------------------------------- run engine
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    state: str
-    pos: int
-    extant: tuple  # of Chronicle, register order
-
-
 # The one value every allocation of a name outside the input stands for. A
 # run can only ever compare such a name with the input's names, and it never
 # equals one, so all of them are interchangeable. _FRESH is not a Name and
@@ -303,13 +296,7 @@ def accept(a, w):
 
 
 def _suffix_names(w, pos):
-    out = []
-    seen = set()
-    for t in w[pos:]:
-        if isinstance(t, Name) and t not in seen:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
+    return tuple(dict.fromkeys(t for t in w[pos:] if isinstance(t, Name)))
 
 
 def check_bounds(pool, maxlen):
@@ -362,95 +349,6 @@ def equiv_bounded(a, b, pool, maxlen):
     if not diff:
         return None
     return min(diff, key=word_sort_key)
-
-
-# ----------------------------------------------------- reference semantics
-
-def step(a, c, w):
-    """Single-move successors of a configuration, per the move relation.
-
-    Fresh allocations branch over the names of the unread suffix plus one
-    canonical machine name. Histories are kept in order (deduplicated),
-    so results are directly comparable in tests.
-    """
-    sm = a.state_map()
-    if c.state not in sm:
-        raise ValidationError("unknown state %r" % c.state)
-    if len(c.extant) != sm[c.state].regs:
-        raise ValidationError("register count mismatch in configuration")
-    w = tuple(w)
-    out = []
-    head = w[c.pos] if c.pos < len(w) else None
-    vals = hcv(c.extant)
-    for f, lab, t in a.transitions:
-        if f != c.state:
-            continue
-        if lab.kind == "eps":
-            out.append(Configuration(t, c.pos, c.extant))
-        elif lab.kind == "letter":
-            if head is lab.letter:
-                out.append(Configuration(t, c.pos + 1, c.extant))
-        elif lab.kind == "reg":
-            if head is not None and head is vals[lab.index - 1]:
-                out.append(Configuration(t, c.pos + 1, c.extant))
-        elif lab.kind == "under":
-            i = lab.index
-            if (
-                isinstance(head, Name)
-                and head not in vals
-                and head not in c.extant[i - 1].hist
-            ):
-                ext = tuple(
-                    Chronicle(ch.hist + (head,), head if j == i - 1 else ch.cv).dedup()
-                    for j, ch in enumerate(c.extant)
-                )
-                out.append(Configuration(t, c.pos + 1, ext))
-        elif lab.kind == "star":
-            cands = [n for n in _suffix_names(w, c.pos) if n not in vals]
-            avoid = set(vals)
-            for ch in c.extant:
-                avoid.update(ch.hist)
-            avoid.update(_suffix_names(w, 0))
-            cands.append(canonical_fresh(avoid))
-            for n in cands:
-                ext = tuple(Chronicle(ch.hist + (n,), ch.cv).dedup() for ch in c.extant)
-                ext += (Chronicle((n,), n),)
-                out.append(Configuration(t, c.pos, ext))
-        elif lab.kind == "close":
-            i = lab.index
-            if not c.extant or i > len(c.extant):
-                continue
-            top_cv = c.extant[-1].cv
-            rest = c.extant[:-1]
-            if i <= len(rest):
-                rest = rest[: i - 1] + (Chronicle(rest[i - 1].hist, top_cv),) + rest[i:]
-            out.append(Configuration(t, c.pos, rest))
-    return out
-
-
-def accept_reference(a, w):
-    """accept() recomputed naively on top of step(); test oracle only."""
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton")
-    w = tuple(w)
-    finals = a.finals()
-    seen = set()
-    stack = [Configuration(a.initial, 0, ())]
-    budget = 200000
-    while stack:
-        budget -= 1
-        if budget < 0:
-            raise ResourceLimitError("reference search exceeded its budget")
-        c = stack.pop()
-        key = (c.state, c.pos, tuple((ch.cv, frozenset(ch.hist)) for ch in c.extant))
-        if key in seen:
-            continue
-        seen.add(key)
-        if c.state in finals and c.pos == len(w) and not c.extant:
-            return True
-        stack.extend(step(a, c, w))
-    return False
 
 
 # ------------------------------------------------------------ composition
@@ -516,7 +414,7 @@ def _label_doc(l):
 def from_json(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError("not valid JSON: %s" % e) from e
     try:
         states = tuple(
@@ -539,7 +437,7 @@ def from_json(text):
             else:
                 raise SchemaError("unknown label kind %r" % kind)
             trs.append((str(t["from"]), l, str(t["to"])))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError("malformed automaton document: %s" % e) from e
     a = Cda(states, initial, tuple(trs))
     rep = validate(a)

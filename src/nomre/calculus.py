@@ -22,7 +22,7 @@ are determined.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automata import check_bounds
 from .compiler import ContextTriple
@@ -105,9 +105,11 @@ VOID = SchematicWord((), (), True)
 
 # -------------------------------------------------------- context calculus
 
-@dataclass
+@dataclass(eq=False)
 class DerivationTree:
-    """One resolved derivation node; sums chosen, stars unfolded."""
+    """One resolved derivation node; sums chosen, stars unfolded. The trees
+    of one forest share subtrees, so a node compares by identity and holds
+    no evaluation result."""
 
     rule: str
     pre: tuple
@@ -116,7 +118,6 @@ class DerivationTree:
     children: tuple = ()
     h: int | None = None
     scratch: Name | None = None
-    result: object = None  # (SchematicWord, post) after evaluation
 
 
 def _binder_subcontext(e, pre, post):
@@ -269,15 +270,17 @@ def _concat(left, right, pre):
     return w1 + w2, phi1 + phi2, post
 
 
-def lngc_eval(tree: DerivationTree) -> SchematicWord:
-    """Evaluate a resolved derivation bottom-up to its schematic word.
+def lngc_results(tree: DerivationTree) -> dict:
+    """Evaluate a resolved derivation bottom-up; map each of its nodes to
+    its (schematic word, real post-context) pair.
 
-    Nodes are annotated with their (schematic word, real post-context)
-    pairs as evaluation proceeds; the real posts are recomputed from the
-    children and in general differ from the threaded static ones.
-    Placeholders are numbered in the order evaluation introduces them.
+    The real posts are recomputed from the children and in general differ
+    from the threaded static ones. Placeholders are numbered in the order
+    evaluation introduces them, so a subtree shared with another tree of
+    the forest gets this tree's numbering in this tree's map.
     """
     counter = itertools.count(1)
+    results = {}
 
     def go(node):
         subs = [go(c) for c in node.children]
@@ -302,11 +305,16 @@ def lngc_eval(tree: DerivationTree) -> SchematicWord:
             res = _bind(node.scratch, subs[0], C, placeholder(next(counter)))
         else:
             raise ValueError("unknown rule %r" % r)
-        node.result = (VOID, E) if res is None else (SchematicWord(res[0], res[1]), res[2])
+        results[node] = (VOID, E) if res is None else (SchematicWord(res[0], res[1]), res[2])
         return res
 
     go(tree)
-    return tree.result[0]
+    return results
+
+
+def lngc_eval(tree: DerivationTree) -> SchematicWord:
+    """The schematic word of a resolved derivation."""
+    return lngc_results(tree)[tree][0]
 
 
 # ------------------------------------------------------------- membership
@@ -356,16 +364,6 @@ def schematic_member(sw: SchematicWord, w) -> bool:
 
 # ---------------------------------------------------------- normalization
 
-def _dedup_tuple(xs):
-    seen = set()
-    out = []
-    for x in xs:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
-
-
 def _mask(x):
     return ("P",) if is_placeholder(x) else ("A", repr(x))
 
@@ -408,17 +406,11 @@ def schematic_normalize(sw: SchematicWord) -> SchematicWord:
     renaming-invariant order, conditions sorted. Idempotent."""
     if sw.void:
         return VOID
-    conds = []
-    for c in sw.cond:
-        if isinstance(c, Local):
-            if c.wrt:
-                conds.append(Local(c.p, _dedup_tuple(c.wrt)))
-        elif isinstance(c, Global):
-            if c.wrt:
-                conds.append(Global(c.p, c.reg, _dedup_tuple(c.wrt)))
-        else:
-            conds.append(c)
-    base = SchematicWord(sw.word, tuple(conds))
+    conds = tuple(
+        c if isinstance(c, Neq) else replace(c, wrt=tuple(dict.fromkeys(c.wrt)))
+        for c in sw.cond if isinstance(c, Neq) or c.wrt
+    )
+    base = SchematicWord(sw.word, conds)
     phs = {x for x in _atoms(base.word, base.cond) if is_placeholder(x)}
     order = sorted(phs, key=lambda p: (_signature(p, base), p.sort_key()))
     ren = {p: placeholder(i + 1) for i, p in enumerate(order)}
@@ -439,87 +431,6 @@ def flatten_to_neqs(sw: SchematicWord) -> SchematicWord:
                 pairs.add(tuple(sorted((c.p, x), key=_atom_key)))
     conds = tuple(Neq(l, r) for l, r in sorted(pairs, key=lambda p: tuple(map(_atom_key, p))))
     return schematic_normalize(SchematicWord(sw.word, conds))
-
-
-class _Bij:
-    """Backtrackable partial bijection between placeholders."""
-
-    def __init__(self):
-        self.fwd = {}
-        self.bwd = {}
-
-    def bind(self, x, y):
-        if is_placeholder(x) != is_placeholder(y):
-            return False
-        if not is_placeholder(x):
-            return x is y
-        if self.fwd.get(x, y) is not y or self.bwd.get(y, x) is not x:
-            return False
-        self.fwd[x] = y
-        self.bwd[y] = x
-        return True
-
-    def snapshot(self):
-        return dict(self.fwd), dict(self.bwd)
-
-    def restore(self, snap):
-        self.fwd, self.bwd = dict(snap[0]), dict(snap[1])
-
-
-def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
-    """Structural equality up to a bijection between placeholders."""
-    a = schematic_normalize(a)
-    b = schematic_normalize(b)
-    if a.void or b.void:
-        return a.void == b.void
-    if len(a.word) != len(b.word) or len(a.cond) != len(b.cond):
-        return False
-    bij = _Bij()
-    for x, y in zip(a.word, b.word):
-        if isinstance(x, Letter) or isinstance(y, Letter):
-            if x is not y:
-                return False
-        elif not bij.bind(x, y):
-            return False
-
-    def match_sets(xs, ys):
-        if not xs:
-            return True
-        x = xs[0]
-        for j, y in enumerate(ys):
-            snap = bij.snapshot()
-            if bij.bind(x, y) and match_sets(xs[1:], ys[:j] + ys[j + 1 :]):
-                return True
-            bij.restore(snap)
-        return False
-
-    def match_cond(ca, cb):
-        if isinstance(ca, Neq):
-            snap = bij.snapshot()
-            if bij.bind(ca.l, cb.l) and bij.bind(ca.r, cb.r):
-                return True
-            bij.restore(snap)
-            return bij.bind(ca.l, cb.r) and bij.bind(ca.r, cb.l)
-        if isinstance(ca, Global) and ca.reg != cb.reg:
-            return False
-        if not bij.bind(ca.p, cb.p) or len(ca.wrt) != len(cb.wrt):
-            return False
-        return match_sets(list(ca.wrt), list(cb.wrt))
-
-    def match(conds_a, conds_b):
-        if not conds_a:
-            return not conds_b
-        ca = conds_a[0]
-        for j, cb in enumerate(conds_b):
-            if type(ca) is not type(cb):
-                continue
-            snap = bij.snapshot()
-            if match_cond(ca, cb) and match(conds_a[1:], conds_b[:j] + conds_b[j + 1 :]):
-                return True
-            bij.restore(snap)
-        return False
-
-    return match(list(a.cond), list(b.cond))
 
 
 # ------------------------------------------------- language of an expression
@@ -552,12 +463,12 @@ def _canon_outcome(word, conds, post):
     for c in conds:
         if isinstance(c, Local):
             if obs(c.p):
-                wrt = _dedup_tuple(x for x in c.wrt if obs(x))
+                wrt = tuple(dict.fromkeys(filter(obs, c.wrt)))
                 if wrt:
                     pruned.append(Local(c.p, wrt))
         elif isinstance(c, Global):
             if obs(c.p):
-                pruned.append(Global(c.p, c.reg, _dedup_tuple(x for x in c.wrt if obs(x))))
+                pruned.append(Global(c.p, c.reg, tuple(dict.fromkeys(filter(obs, c.wrt)))))
         else:
             if obs(c.l) and obs(c.r) or c.l is c.r:
                 pruned.append(c)
@@ -726,18 +637,6 @@ def language_enumerate(e, pool, maxlen):
     return words
 
 
-def forest_language_enumerate(e, pool, maxlen):
-    """Reference enumeration through explicit derivation trees; test oracle."""
-    _require_closed(e)
-    pool = tuple(pool)
-    words = set()
-    for tree in ctxc_derive(ContextTriple((), e, ()), maxlen + 1):
-        sw = lngc_eval(tree)
-        if not sw.void and len(sw.word) <= maxlen:
-            words.update(_instances(sw, pool))
-    return words
-
-
 # ------------------------------------------------------------------- dumps
 
 def _fmt_atoms(xs):
@@ -773,7 +672,8 @@ def derivation_dump(e, star_bound=2, pre=(), post=()):
     trees = ctxc_derive(ContextTriple(tuple(pre), e, tuple(post)), star_bound)
     lines = []
     for idx, tree in enumerate(trees, 1):
-        sw = lngc_eval(tree)
+        results = lngc_results(tree)
+        sw = results[tree][0]
         header = "tree %d" % idx
         if len(trees) == 1:
             header = "tree"
@@ -783,7 +683,7 @@ def derivation_dump(e, star_bound=2, pre=(), post=()):
             tag = _RULE_NAMES[node.rule]
             if node.rule == "star":
                 tag = "(star h=%d)" % node.h
-            res, rpost = node.result
+            res, rpost = results[node]
             lines.append(
                 "%s%s %s  =>  %r %s"
                 % ("  " * depth, tag, _fmt_ctx(node.pre, node.expr, node.post), res, _fmt_extant(rpost))

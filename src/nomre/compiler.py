@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
 from .errors import CompileError
-from .expr import Bind, Cat, Lit, Nam, One, Star, Sum, Under, Zero, check_wellformed, render
+from .expr import Bind, Cat, Lit, Nam, One, Star, Sum, Under, Zero, apply_perm_expr, check_wellformed, render
 from .nominal import Chronicle, hcv, sys_name, transpose
-from .expr import apply_perm_expr
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,6 @@ class ContextTriple:
     def __post_init__(self):
         if len(set(self.pre)) != len(self.pre):
             raise CompileError("pre-context is not repetition-free")
-
-
-@dataclass(frozen=True)
-class CdaInContext:
-    ctx: ContextTriple  # payload is the Cda
-
-    @property
-    def automaton(self):
-        return self.ctx.payload
 
 
 class _Builder:
@@ -145,7 +135,7 @@ class _Builder:
         return qs, [qt]
 
 
-def compile_in_context(t: ContextTriple) -> CdaInContext:
+def compile_in_context(t: ContextTriple) -> Cda:
     """Build the automaton in-context for a context triple over an expression."""
     b = _Builder()
     for c in t.post:
@@ -154,8 +144,7 @@ def compile_in_context(t: ContextTriple) -> CdaInContext:
     init, finals = b.build(t.payload, tuple(t.pre), hcv(t.post))
     keep_final = set(finals)
     states = tuple(State(s.id, s.regs, s.id in keep_final) for s in b.states)
-    a = Cda(states, init, tuple(b.transitions))
-    return CdaInContext(ContextTriple(t.pre, a, t.post))
+    return Cda(states, init, tuple(b.transitions))
 
 
 def compile_expr(e) -> Cda:
@@ -167,4 +156,4 @@ def compile_expr(e) -> Cda:
         raise CompileError(
             "expression is open; free names: %s" % ", ".join(sorted(map(repr, rep.free)))
         )
-    return compile_in_context(ContextTriple((), e, ())).automaton
+    return compile_in_context(ContextTriple((), e, ()))

@@ -90,18 +90,6 @@ class Letter:
         return self.sym
 
 
-def canonical_fresh(avoid):
-    """Least reserved name not in ``avoid``.
-
-    The reserved sequence is disjoint from user names, so machine-chosen
-    fresh names never collide with input data.
-    """
-    k = 0
-    while sys_name(k) in avoid:
-        k += 1
-    return sys_name(k)
-
-
 class Perm:
     """A finitely generated permutation of the name universe.
 
@@ -226,15 +214,8 @@ class Chronicle:
 
     def dedup(self):
         """Remove repeated history entries, keeping first occurrences."""
-        seen = set()
-        out = []
-        for x in self.hist:
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-        if len(out) == len(self.hist):
-            return self
-        return Chronicle(tuple(out), self.cv)
+        out = tuple(dict.fromkeys(self.hist))
+        return self if len(out) == len(self.hist) else Chronicle(out, self.cv)
 
     def __repr__(self):
         return "{%s @ %r}" % (" ".join(map(repr, self.hist)), self.cv)

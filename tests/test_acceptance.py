@@ -22,7 +22,6 @@ from nomre.automata import (
 from nomre.calculus import (
     ctxc_derive,
     derivation_dump,
-    equal_mod_renaming,
     flatten_to_neqs,
     language_enumerate,
     lngc_eval,
@@ -46,6 +45,7 @@ from nomre.expr import NreClass, alpha_eq, classify, parse, render, rename_bound
 from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import Letter, apply_perm_word, name, perm_from_lists
+from nomre.oracle import equal_mod_renaming
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-import nomre.automata as am
+import nomre.oracle as oracle
 from nomre.automata import (
     Cda,
     CdaClass,
-    Configuration,
     EPS,
     STAR,
     State,
     accept,
-    accept_reference,
     cda_concat,
     cda_star,
     cda_union,
@@ -24,7 +22,6 @@ from nomre.automata import (
     lab_letter,
     lab_reg,
     lab_under,
-    step,
     to_dot,
     to_json,
     validate,
@@ -37,6 +34,7 @@ from nomre.errors import SchemaError, ValidationError
 from nomre.expr import parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import Letter, chronicle, name, placeholder, sys_name
+from nomre.oracle import Configuration, accept_reference, step
 
 r1, r2, r3 = name("r1"), name("r2"), name("r3")
 S0, S1, P1 = sys_name(0), sys_name(1), placeholder(1)
@@ -244,6 +242,19 @@ def test_from_json_schema_errors():
         )
 
 
+def test_from_json_rejects_infinite_counts():
+    doc = '{"states": [{"id": "q", "regs": %s}], "initial": "q", "transitions": [%s]}'
+    reg = '{"from": "q", "label": {"kind": "reg", "index": 1e400}, "to": "q"}'
+    for regs, trs in (("1e400", ""), ("-1e400", ""), ("0", reg)):
+        with pytest.raises(SchemaError):
+            from_json(doc % (regs, trs))
+
+
+def test_from_json_rejects_deep_nesting():
+    with pytest.raises(SchemaError):
+        from_json("[" * 100000 + "]" * 100000)
+
+
 def test_dot_single_node():
     a = Cda((State("q0", 0),), "q0", ())
     dot = to_dot(a)
@@ -305,6 +316,24 @@ def test_engine_agrees_with_reference(rng, pool3):
         assert accept(lses, w) == accept_reference(lses, w)
 
 
+def test_reference_configurations_stay_finite_on_allocation_loops():
+    # Each <$y.1> unfolding allocates without a read. Machine names that
+    # avoided every history made each unfolding's configuration new, and
+    # accept_reference ran out of memory before its budget tripped.
+    a = compile_expr(P("<$x.<$y.1>* _$x*>"))
+    w = (r1, r2, B)
+    seen = set()
+    stack = [Configuration(a.initial, 0, ())]
+    while stack:
+        c = stack.pop()
+        if c not in seen:
+            seen.add(c)
+            assert len(seen) <= 1000
+            stack.extend(step(a, c, w))
+    assert accept_reference(a, w) is False
+    assert accept(a, w) is False
+
+
 def test_kleene_differential_over_reserved_pool():
     pool = (S0, P1, S1)
     for e in corpus_of_classes(seed=101, total=200):
@@ -326,12 +355,12 @@ def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_
     a = compile_expr(corpus_exprs["succ_distinct"])
     words = [w for n in range(4) for w in itertools.product(pool3, repeat=n)]
     base = [accept_reference(a, w) for w in words]
-    orig = am.canonical_fresh
+    orig = oracle.canonical_fresh
 
     def shifted(avoid):
         return orig(avoid | {sys_name(i) for i in range(40)})
 
-    monkeypatch.setattr(am, "canonical_fresh", shifted)
+    monkeypatch.setattr(oracle, "canonical_fresh", shifted)
     assert [accept_reference(a, w) for w in words] == base
 
 

@@ -13,12 +13,11 @@ from nomre.calculus import (
     VOID,
     ctxc_derive,
     derivation_dump,
-    equal_mod_renaming,
     flatten_to_neqs,
-    forest_language_enumerate,
     language_enumerate,
     language_member,
     lngc_eval,
+    lngc_results,
     schematic_member,
     schematic_normalize,
     schematic_words_of,
@@ -36,6 +35,7 @@ from nomre.nominal import (
     placeholder,
     sys_name,
 )
+from nomre.oracle import equal_mod_renaming, forest_language_enumerate
 
 A = Letter("a")
 
@@ -134,10 +134,10 @@ def test_lngc_eval_deterministic():
 
 def test_lngc_placeholder_freshness():
     tree = _derive_single(P(DIAMOND_TEXT))
-    lngc_eval(tree)
+    results = lngc_results(tree)
     owners = []
     for node in _walk(tree):
-        sw, _ = node.result
+        sw, _ = results[node]
         if node.rule == "under":
             owners.append(sw.word[0])
         elif node.rule in ("bind=", "bind!="):
@@ -146,6 +146,19 @@ def test_lngc_placeholder_freshness():
     # every underline and every abstraction introduced its own placeholder
     assert len(owners) == 5
     assert len(owners) == len(set(owners))
+
+
+def test_lngc_results_stay_per_tree():
+    # the two trees share the concatenation's right-hand `_$x` node, which
+    # each tree's evaluation numbers differently
+    trees = ctxc_derive(ContextTriple((), P("<$x. (1 + _$x) _$x >"), ()), 1)
+    results = [lngc_results(t) for t in trees]
+    (cat1,), (cat2,) = (t.children for t in trees)
+    shared = cat1.children[1]
+    assert shared is cat2.children[1]
+    assert results[0][cat1][0].word == results[0][shared][0].word == (placeholder(1),)
+    assert results[1][shared][0].word == (placeholder(2),)
+    assert results[1][cat2][0].word == (placeholder(1), placeholder(2))
 
 
 def test_schematic_member_basics(pool3):

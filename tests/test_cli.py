@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nomre
 from nomre.automata import from_json, to_json
 from nomre.cli import main, parse_word
 from nomre.compiler import compile_expr
@@ -142,6 +145,31 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["accept", str(badj2), ""]) == 4
     missing = str(tmp_path / "missing.nre")
     assert main(["check", missing]) == 2
+
+
+def test_accept_rejects_infinite_counts(tmp_path, capsys):
+    p = tmp_path / "inf.json"
+    p.write_text('{"states": [{"id": "q", "regs": 1e400}], "initial": "q", "transitions": []}')
+    assert main(["accept", str(p), ""]) == 4
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_cli_leaves_the_oracle_unimported(lses_json):
+    # the reference semantics live in nomre.oracle alone, off the paths
+    # that `import nomre` and the nomre command take
+    code = (
+        "import sys, nomre, nomre.cli\n"
+        "assert nomre.cli.main(['accept', sys.argv[1], 'a b $n1 $n2']) == 0\n"
+        "assert 'nomre.oracle' not in sys.modules\n"
+        "moved = ('Configuration', 'step', 'accept_reference', 'canonical_fresh',\n"
+        "         'forest_language_enumerate', 'equal_mod_renaming', '_Bij')\n"
+        "for m in (nomre, nomre.automata, nomre.nominal, nomre.calculus):\n"
+        "    assert not [n for n in moved if hasattr(m, n)], m\n"
+    )
+    src = os.path.dirname(os.path.dirname(nomre.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code, lses_json], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_compile_dot_format(lses_file, lses_json, capsys):

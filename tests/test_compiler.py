@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from nomre.automata import (
+    Cda,
     CdaClass,
     accept,
     cda_concat,
@@ -13,7 +14,7 @@ from nomre.automata import (
     equiv_bounded,
     validate,
 )
-from nomre.compiler import CdaInContext, ContextTriple, compile_expr, compile_in_context
+from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, default_pool, lses_predicate
 from nomre.errors import CompileError
 from nomre.expr import Bind, Cat, Nam, NreClass, Star, Sum, Under, classify, parse, render
@@ -51,9 +52,8 @@ def test_compile_lths_register_ceiling():
 def test_compile_in_context_name_read():
     na = name("a")
     t = ContextTriple((na,), Nam(na), (chronicle([na], na),))
-    out = compile_in_context(t)
-    assert isinstance(out, CdaInContext)
-    a = out.automaton
+    a = compile_in_context(t)
+    assert isinstance(a, Cda)
     assert len(a.states) == 2
     assert all(s.regs == 1 for s in a.states)
     ((f, lab, to),) = a.transitions
@@ -63,14 +63,14 @@ def test_compile_in_context_name_read():
 def test_compile_in_context_under_read():
     na = name("a")
     t = ContextTriple((na,), Under(na), (chronicle([na], na),))
-    a = compile_in_context(t).automaton
+    a = compile_in_context(t)
     ((f, lab, to),) = a.transitions
     assert lab.kind == "under" and lab.index == 1
 
 
 def test_compile_in_context_simple_binder(pool3):
     n = name("n")
-    a = compile_in_context(ContextTriple((), Bind(n, Nam(n), n), ())).automaton
+    a = compile_in_context(ContextTriple((), Bind(n, Nam(n), n), ()))
     kinds = sorted(lab.kind for _, lab, _ in a.transitions)
     assert kinds == ["close", "reg", "star"]
     close = next(lab for _, lab, _ in a.transitions if lab.kind == "close")

@@ -9,7 +9,6 @@ from nomre.nominal import (
     IDENTITY,
     Letter,
     apply_perm_word,
-    canonical_fresh,
     chronicle,
     check_extant,
     extant_delete,
@@ -21,6 +20,7 @@ from nomre.nominal import (
     sys_name,
     transpose,
 )
+from nomre.oracle import canonical_fresh
 
 n, m, k = name("n"), name("m"), name("k")
 a, b, c = name("a"), name("b"), name("c")
