@@ -143,15 +143,11 @@ def test_exit_codes(tmp_path, capsys):
     badj2 = tmp_path / "bad2.json"
     badj2.write_text(json.dumps(doc))
     assert main(["accept", str(badj2), ""]) == 4
+    badj3 = tmp_path / "bad3.json"
+    badj3.write_text('{"states": [{"id": "q", "regs": 1e400}], "initial": "q", "transitions": []}')
+    assert main(["accept", str(badj3), ""]) == 4
     missing = str(tmp_path / "missing.nre")
     assert main(["check", missing]) == 2
-
-
-def test_accept_rejects_infinite_counts(tmp_path, capsys):
-    p = tmp_path / "inf.json"
-    p.write_text('{"states": [{"id": "q", "regs": 1e400}], "initial": "q", "transitions": []}')
-    assert main(["accept", str(p), ""]) == 4
-    assert "invalid input" in capsys.readouterr().err
 
 
 def test_cli_leaves_the_oracle_unimported(lses_json):

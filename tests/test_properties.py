@@ -2,8 +2,8 @@
 
 Examples are drawn deterministically (derandomize) and without a deadline,
 so the suite gives the same verdict on every run and machine. A failure
-that hypothesis shrinks becomes a fixed regression test next to the
-property it broke.
+that hypothesis shrinks becomes a fixed case in the tests of the module
+at fault.
 """
 
 import json
