@@ -8,10 +8,12 @@ value into register i).
 
 Runs work on configurations (state, input position, extant chronicle).
 Freshness tests only ever use membership, so the run engine keeps each
-chronicle's history as a set. A run can only compare a name with the names
-of its input, so the engine lets one marker stand for every allocated name
-outside the input; its configurations then hold input names only. The
-reference stepper in ``nomre.oracle`` chooses real machine names instead.
+chronicle's history as a set. A ``*`` does not choose a name: it pushes a
+pending value, which the first read of its register binds to the token
+read, as long as the token is none of the names the value must differ
+from. Configurations then hold input names only, and their number does not
+grow with the input. The reference stepper in ``nomre.oracle`` chooses real
+names instead.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter, Name
+from .nominal import Letter
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,15 +157,20 @@ def validate(a):
     return Report(tuple(out))
 
 
+def require_valid(a):
+    """Raise ValidationError listing the violations of an invalid automaton."""
+    rep = validate(a)
+    if not rep.ok:
+        raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
+
+
 def class_of(a):
     """Least automaton class of a valid automaton.
 
     Chronicle automata never close below the top register; deallocating
     automata have no underlined reads at all.
     """
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
+    require_valid(a)
     sm = a.state_map()
     ca = all(l.index == sm[f].regs for f, l, _ in a.transitions if l.kind == "close")
     da = not any(l.kind == "under" for _, l, _ in a.transitions)
@@ -180,27 +187,35 @@ def class_of(a):
 
 # ------------------------------------------------------------- run engine
 
-# The one value every allocation of a name outside the input stands for. A
-# run can only ever compare such a name with the input's names, and it never
-# equals one, so all of them are interchangeable. _FRESH is not a Name and
-# enters no history, so a configuration (state, regs) holds input names only
-# and is its own visited key.
-_FRESH = object()
+def _assign(regs, i, token, depth):
+    """regs with token as register i's current value. The token joins the
+    histories of the bottom ``depth`` registers and the avoid set of every
+    other pending value."""
+    out = []
+    for j, (cv, h) in enumerate(regs):
+        if j == i - 1:
+            cv = token
+        elif type(cv) is tuple:
+            cv = (cv[0] | {token}, cv[1])
+        out.append((cv, h | {token} if j < depth else h))
+    return tuple(out)
 
 
 class _Engine:
     """Shared machinery for accept/enumerate over one automaton.
 
-    ``n_names`` is the number of distinct names of the input (the word, or
-    the pool), which bounds the chain of non-consuming moves.
+    A register is (current value, history). A ``*`` pushes a pending value
+    (avoid, depth): the input names it must differ from, and how many bottom
+    registers hold it in their history. The first ``reg`` read of its
+    register binds it to any token outside avoid. A pending value that stops
+    being current can never be read and drops out, so a configuration
+    (state, regs) holds input names only and is its own visited key.
     """
 
-    def __init__(self, a, n_names):
-        rep = validate(a)
-        if not rep.ok:
-            raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
+    def __init__(self, a):
+        require_valid(a)
         self.finals = a.finals()
-        self.cap = 10 * max(1, len(a.states)) * (a.max_regs() + 1) * (n_names + 2)
+        self.cap = 20 * max(1, len(a.states)) * (a.max_regs() + 1)
         self.by_state = {s.id: {"eps": [], "star": [], "close": [], "letter": {}, "reg": {}, "under": {}} for s in a.states}
         for f, lab, t in a.transitions:
             slot = self.by_state[f]
@@ -213,12 +228,8 @@ class _Engine:
             else:
                 slot[lab.kind].setdefault(lab.index, []).append(t)
 
-    def closure(self, configs, star_names):
-        """All configs reachable via non-consuming moves (eps, *, close).
-
-        A fresh allocation branches over ``star_names``, the input names it
-        may still meet, minus the current values, plus ``_FRESH``.
-        """
+    def closure(self, configs):
+        """All configs reachable via non-consuming moves (eps, *, close)."""
         out = set(configs)
         frontier = out
         depth = 0
@@ -229,22 +240,23 @@ class _Engine:
             nxt = []
             for state, regs in frontier:
                 slot = self.by_state[state]
-                nxt.extend((t, regs) for t in slot["eps"])
+                for t in slot["eps"]:
+                    nxt.append((t, regs))
                 if slot["star"]:
-                    cvs = frozenset(cv for cv, _ in regs)
-                    allocs = [
-                        tuple((cv, h | {n}) for cv, h in regs) + ((n, frozenset((n,))),)
-                        for n in star_names if n not in cvs
-                    ]
-                    allocs.append(regs + ((_FRESH, frozenset()),))
-                    nxt.extend((t, nregs) for t in slot["star"] for nregs in allocs)
+                    avoid = frozenset(cv for cv, _ in regs if type(cv) is not tuple)
+                    nregs = regs + (((avoid, len(regs) + 1), frozenset()),)
+                    nxt.extend((t, nregs) for t in slot["star"])
                 for i, t in slot["close"]:
-                    if not regs or i > len(regs):
-                        continue
                     top_cv = regs[-1][0]
                     nregs = regs[:-1]
                     if i <= len(nregs):
                         nregs = nregs[: i - 1] + ((top_cv, nregs[i - 1][1]),) + nregs[i:]
+                    # a register pushed later will not hold these pending values
+                    n = len(nregs)
+                    nregs = tuple(
+                        ((cv[0], n), h) if type(cv) is tuple and cv[1] > n else (cv, h)
+                        for cv, h in nregs
+                    )
                     nxt.append((t, nregs))
             frontier = set(nxt) - out
             out |= frontier
@@ -261,20 +273,21 @@ class _Engine:
         for state, regs in configs:
             slot = self.by_state[state]
             for i, targets in slot["reg"].items():
-                if i <= len(regs) and regs[i - 1][0] is token:
-                    for t in targets:
-                        nxt.append((t, regs))
-            if slot["under"]:
-                cvs = frozenset(cv for cv, _ in regs)
-                if token not in cvs:
-                    for i, targets in slot["under"].items():
-                        if i <= len(regs) and token not in regs[i - 1][1]:
-                            nregs = tuple(
-                                (token if j == i - 1 else cv, h | {token})
-                                for j, (cv, h) in enumerate(regs)
-                            )
-                            for t in targets:
-                                nxt.append((t, nregs))
+                cv = regs[i - 1][0]
+                if cv is token:
+                    nregs = regs
+                elif type(cv) is tuple and token not in cv[0]:
+                    nregs = _assign(regs, i, token, cv[1])
+                else:
+                    continue
+                for t in targets:
+                    nxt.append((t, nregs))
+            if slot["under"] and not any(cv is token for cv, _ in regs):
+                for i, targets in slot["under"].items():
+                    if token not in regs[i - 1][1]:
+                        nregs = _assign(regs, i, token, len(regs))
+                        for t in targets:
+                            nxt.append((t, nregs))
         return nxt
 
     def accepting(self, configs):
@@ -283,20 +296,14 @@ class _Engine:
 
 def accept(a, w):
     """Whether some run consumes all of w and ends final with no registers."""
-    w = tuple(w)
-    names = _suffix_names(w, 0)
-    eng = _Engine(a, len(names))
-    macro = eng.closure([(a.initial, ())], names)
-    for pos in range(len(w)):
-        stepped = eng.consume(macro, w[pos])
+    eng = _Engine(a)
+    macro = eng.closure([(a.initial, ())])
+    for token in w:
+        stepped = eng.consume(macro, token)
         if not stepped:
             return False
-        macro = eng.closure(stepped, _suffix_names(w, pos + 1))
+        macro = eng.closure(stepped)
     return eng.accepting(macro)
-
-
-def _suffix_names(w, pos):
-    return tuple(dict.fromkeys(t for t in w[pos:] if isinstance(t, Name)))
 
 
 def check_bounds(pool, maxlen):
@@ -311,7 +318,7 @@ def enumerate_words(a, pool, maxlen):
     """All accepted words over the letters of ``a`` plus ``pool``, length <= maxlen."""
     pool = tuple(pool)
     check_bounds(pool, maxlen)
-    eng = _Engine(a, len(pool))
+    eng = _Engine(a)
     tokens = sorted(a.letters(), key=lambda l: l.sym) + list(pool)
     memo = {}
 
@@ -327,13 +334,13 @@ def enumerate_words(a, pool, maxlen):
                 stepped = eng.consume(macro, tok)
                 if not stepped:
                     continue
-                nxt = eng.closure(stepped, pool)
+                nxt = eng.closure(stepped)
                 for suf in go(nxt, remaining - 1):
                     out.add((tok,) + suf)
         memo[macro, remaining] = frozenset(out)
         return memo[macro, remaining]
 
-    start = eng.closure([(a.initial, ())], pool)
+    start = eng.closure([(a.initial, ())])
     return set(go(start, maxlen))
 
 
@@ -411,6 +418,13 @@ def _label_doc(l):
     return d
 
 
+def _typed(v, t, field):
+    """v itself when its JSON type is t; a boolean is no integer."""
+    if type(v) is not t:
+        raise SchemaError("%s must be of type %s, got %r" % (field, t.__name__, v))
+    return v
+
+
 def from_json(text):
     try:
         doc = json.loads(text)
@@ -418,10 +432,11 @@ def from_json(text):
         raise SchemaError("not valid JSON: %s" % e) from e
     try:
         states = tuple(
-            State(str(s["id"]), int(s["regs"]), bool(s.get("final", False)))
+            State(_typed(s["id"], str, "id"), _typed(s["regs"], int, "regs"),
+                  _typed(s.get("final", False), bool, "final"))
             for s in doc["states"]
         )
-        initial = str(doc["initial"])
+        initial = _typed(doc["initial"], str, "initial")
         trs = []
         for t in doc["transitions"]:
             lab = t["label"]
@@ -431,13 +446,13 @@ def from_json(text):
             elif kind == "star":
                 l = STAR
             elif kind == "letter":
-                l = lab_letter(str(lab["letter"]))
+                l = lab_letter(_typed(lab["letter"], str, "letter"))
             elif kind in ("reg", "under", "close"):
-                l = Label(kind, index=int(lab["index"]))
+                l = Label(kind, index=_typed(lab["index"], int, "index"))
             else:
                 raise SchemaError("unknown label kind %r" % kind)
-            trs.append((str(t["from"]), l, str(t["to"])))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+            trs.append((_typed(t["from"], str, "from"), l, _typed(t["to"], str, "to")))
+    except (KeyError, TypeError) as e:
         raise SchemaError("malformed automaton document: %s" % e) from e
     a = Cda(states, initial, tuple(trs))
     rep = validate(a)

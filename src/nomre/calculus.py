@@ -496,12 +496,11 @@ class _Evaluator:
 
     Produces, per context triple, the set of (word, conditions, post)
     outcomes over all resolved derivations, pruned to a word-length budget
-    and deduplicated up to placeholder renaming. Equivalent to evaluating
-    every derivation of ctxc_derive separately.
+    and deduplicated up to placeholder renaming. A star unfolds until an
+    unfolding adds no new outcome, which the budget makes finite.
     """
 
-    def __init__(self, star_bound):
-        self.star_bound = star_bound
+    def __init__(self):
         self.memo = {}
         self.size = 0
 
@@ -558,18 +557,10 @@ class _Evaluator:
                     out.add(self.compose(left, right, pre))
             return frozenset(out)
         if isinstance(e, Star):
-            nat = natural_chronicle(pre)
-            acc = {_canon_outcome((), (), post)}
             frontier = self.eval(e.e, pre, post, budget)
-            acc |= frontier
-            lefts = None
-            for _ in range(2, self.star_bound + 1):
-                if not frontier:
-                    break
-                if lefts is None:
-                    lefts = self.eval(e.e, pre, nat, budget)
-                    if not lefts:
-                        break
+            acc = {_canon_outcome((), (), post)} | frontier
+            lefts = self.eval(e.e, pre, natural_chronicle(pre), budget) if frontier else ()
+            while frontier:
                 nxt = set()
                 for left in lefts:
                     lw = len(left[0])
@@ -589,12 +580,9 @@ class _Evaluator:
         raise TypeError(e)
 
 
-def schematic_words_of(e, pre=(), post=(), maxlen=6, star_bound=None):
+def schematic_words_of(e, pre=(), post=(), maxlen=6):
     """All schematic words of the expression in-context, words <= maxlen."""
-    if star_bound is None:
-        star_bound = maxlen + 1
-    ev = _Evaluator(star_bound)
-    outs = ev.eval(e, tuple(pre), tuple(post), maxlen)
+    outs = _Evaluator().eval(e, tuple(pre), tuple(post), maxlen)
     return [SchematicWord(w, c) for w, c, _ in sorted(outs, key=lambda o: (len(o[0]), repr(o)))]
 
 
@@ -610,7 +598,7 @@ def language_member(e, w) -> bool:
     """Word membership in the language of a closed expression."""
     _require_closed(e)
     w = tuple(w)
-    for sw in schematic_words_of(e, maxlen=len(w), star_bound=len(w) + 1):
+    for sw in schematic_words_of(e, maxlen=len(w)):
         if schematic_member(sw, w):
             return True
     return False
@@ -632,7 +620,7 @@ def language_enumerate(e, pool, maxlen):
     pool = tuple(pool)
     check_bounds(pool, maxlen)
     words = set()
-    for sw in schematic_words_of(e, maxlen=maxlen, star_bound=maxlen + 1):
+    for sw in schematic_words_of(e, maxlen=maxlen):
         words.update(_instances(sw, pool))
     return words
 

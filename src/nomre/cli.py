@@ -172,7 +172,6 @@ def build_parser():
     p = sub.add_parser("accept", help="run an automaton on a word")
     p.add_argument("automaton")
     p.add_argument("word", nargs="?", default="")
-    _add_common(p)
     p.set_defaults(fn=cmd_accept)
 
     p = sub.add_parser("enumerate", help="bounded language of an automaton")
@@ -189,7 +188,6 @@ def build_parser():
     p = sub.add_parser("extract", help="automaton json to expression text")
     p.add_argument("automaton")
     p.add_argument("out", nargs="?", default="-")
-    _add_common(p)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("derive", help="dump context/language derivations")
@@ -199,7 +197,6 @@ def build_parser():
 
     p = sub.add_parser("dot", help="graphviz rendering of an automaton")
     p.add_argument("automaton")
-    _add_common(p)
     p.set_defaults(fn=cmd_dot)
 
     return top

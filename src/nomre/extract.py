@@ -12,7 +12,7 @@ the choice immaterial.
 
 from dataclasses import dataclass
 
-from .automata import Cda, State, validate
+from .automata import Cda, State, require_valid, validate
 from .errors import ValidationError
 from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO, Zero
 from .nominal import name
@@ -33,9 +33,7 @@ class LayeredView:
 
 
 def layered_view(a: Cda) -> LayeredView:
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
+    require_valid(a)
     sm = a.state_map()
     layers = {}
     for s in a.states:
@@ -173,9 +171,7 @@ def determinize_layers(a: Cda) -> Cda:
     Classical closure/powerset inside each layer; ``*`` and close edges are
     lifted subset-wise, one edge per label.
     """
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
+    require_valid(a)
     sm = a.state_map()
     finals = a.finals()
     eps_out = {}

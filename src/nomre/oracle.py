@@ -5,7 +5,8 @@ whole configurations, choosing real machine names for fresh allocations;
 ``automata.accept`` and ``automata.enumerate_words`` must agree with them.
 ``forest_language_enumerate`` evaluates the derivation forest of
 ``calculus.ctxc_derive`` tree by tree; ``calculus.language_enumerate`` must
-agree with it. ``equal_mod_renaming`` compares schematic words up to a
+agree with it on expressions whose every star iteration reads a symbol.
+``equal_mod_renaming`` compares schematic words up to a
 renaming of placeholders. No module of the package imports this one.
 """
 
@@ -214,7 +215,9 @@ def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
 
 
 def forest_language_enumerate(e, pool, maxlen):
-    """Reference enumeration through explicit derivation trees; test oracle."""
+    """Reference enumeration through explicit derivation trees, stars
+    unfolded at most maxlen + 1 times: a test oracle only where every star
+    iteration reads a symbol."""
     _require_closed(e)
     pool = tuple(pool)
     words = set()

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from nomre.automata import (
     EPS,
     STAR,
     State,
+    _Engine,
     accept,
     cda_concat,
     cda_star,
@@ -29,7 +32,7 @@ from nomre.automata import (
 )
 from nomre.calculus import language_enumerate
 from nomre.compiler import compile_expr
-from nomre.corpus import ALPHABET, lonet_automaton, lses_automaton
+from nomre.corpus import ALPHABET, LSES_TEXT, LTHS_TEXT, lonet_automaton, lses_automaton
 from nomre.errors import SchemaError, ValidationError
 from nomre.expr import parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
@@ -248,6 +251,41 @@ def test_from_json_schema_errors():
             from_json(doc % (regs, trs))
     with pytest.raises(SchemaError):
         from_json("[" * 100000 + "]" * 100000)
+    # field types are checked, not coerced: each change below was once read
+    # as a valid automaton that the document does not describe
+    base = {
+        "states": [
+            {"id": "1", "regs": 0, "final": True},
+            {"id": "2", "regs": 1, "final": False},
+            {"id": "3", "regs": 3, "final": False},
+        ],
+        "initial": "1",
+        "transitions": [
+            {"from": "1", "label": {"kind": "star"}, "to": "2"},
+            {"from": "2", "label": {"kind": "reg", "index": 1}, "to": "2"},
+            {"from": "2", "label": {"kind": "letter", "letter": "a"}, "to": "2"},
+            {"from": "2", "label": {"kind": "close", "index": 1}, "to": "1"},
+        ],
+    }
+    assert from_json(json.dumps(base)).states[0] == State("1", 0, True)
+    for path, value in (
+        (("states", 0, "final"), "false"),
+        (("states", 0, "regs"), 0.9),
+        (("states", 2, "regs"), "3"),
+        (("states", 0, "id"), 1),
+        (("initial",), 1),
+        (("transitions", 0, "from"), 1),
+        (("transitions", 0, "to"), 2),
+        (("transitions", 1, "label", "index"), True),
+        (("transitions", 2, "label", "letter"), 7),
+    ):
+        doc = copy.deepcopy(base)
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        with pytest.raises(SchemaError):
+            from_json(json.dumps(doc))
 
 
 def test_dot_single_node():
@@ -309,6 +347,45 @@ def test_engine_agrees_with_reference(rng, pool3):
     lses = lses_automaton()
     for w in ((A, B, S1, S0), (A, B, S0, P1, S1), (A, B, r1, S0, S0)):
         assert accept(lses, w) == accept_reference(lses, w)
+
+
+def test_engine_macro_states_do_not_grow_with_the_word(monkeypatch):
+    # A * pushes one pending value instead of guessing among the word's
+    # names, so the largest closure is a constant of the automaton.
+    peaks = []
+    closure = _Engine.closure
+
+    def recording(self, *args):
+        out = closure(self, *args)
+        peaks[-1] = max(peaks[-1], len(out))
+        return out
+
+    monkeypatch.setattr(_Engine, "closure", recording)
+
+    def run(a, w):
+        peaks.append(0)
+        return accept(a, w), peaks[-1]
+
+    lses = compile_expr(P(LSES_TEXT))
+    sizes = set()
+    for n in (8, 32, 64, 128):
+        good = (A, B) + tuple(name("s%d" % i) for i in range(n))
+        sizes.add(run(lses, good))
+        sizes.add(run(lses, good[:-1] + (good[2],)))
+    assert {v for v, _ in sizes} == {True, False}
+    assert len({peak for _, peak in sizes}) == 1
+    # lths sessions r (l d) (m d): m and l are allocated before they are read
+    lths = compile_expr(P(LTHS_TEXT))
+    D = Letter("d")
+    sizes = set()
+    for n in (2, 3):
+        w = (A, B)
+        for k in range(n):
+            w += (name("r%d" % k), name("l%d" % k), D, name("m%d" % k), D)
+        sizes.add(run(lths, w))
+        sizes.add(run(lths, w + (name("r0"),)))
+    assert {v for v, _ in sizes} == {True, False}
+    assert len({peak for _, peak in sizes}) == 1
 
 
 def test_reference_configurations_stay_finite_on_allocation_loops():

@@ -146,6 +146,9 @@ def test_exit_codes(tmp_path, capsys):
     badj3 = tmp_path / "bad3.json"
     badj3.write_text('{"states": [{"id": "q", "regs": 1e400}], "initial": "q", "transitions": []}')
     assert main(["accept", str(badj3), ""]) == 4
+    badj4 = tmp_path / "bad4.json"
+    badj4.write_text('{"states": [{"id": "q", "regs": 0, "final": "false"}], "initial": "q", "transitions": []}')
+    assert main(["accept", str(badj4), ""]) == 4
     missing = str(tmp_path / "missing.nre")
     assert main(["check", missing]) == 2
 
