@@ -109,15 +109,23 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _linecol(text, i):
-    line = text.count("\n", 0, i) + 1
-    return line, i - text.rfind("\n", 0, i)
-
-
 def _lex(text, alphabet):
     """Tokens: (kind, value, line, col). Splits identifier runs by alphabet."""
     toks = []
     pos = 0
+    lineno, line_start, scanned = 1, 0, 0
+
+    def linecol(i):
+        # Positions are asked for in increasing order, so each newline is
+        # counted once and lexing stays linear in the text.
+        nonlocal lineno, line_start, scanned
+        newlines = text.count("\n", scanned, i)
+        if newlines:
+            lineno += newlines
+            line_start = text.rfind("\n", scanned, i) + 1
+        scanned = i
+        return lineno, i - line_start + 1
+
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
@@ -125,9 +133,9 @@ def _lex(text, alphabet):
             if not rest.strip():
                 break
             bad = pos + len(rest) - len(rest.lstrip())
-            line, col = _linecol(text, bad)
+            line, col = linecol(bad)
             raise ParseError("unexpected character %r" % text[bad], line, col)
-        line, col = _linecol(text, m.start(m.lastgroup))
+        line, col = linecol(m.start(m.lastgroup))
         val = m.group(m.lastgroup)
         kind = m.lastgroup
         if kind == "ident":
@@ -142,7 +150,7 @@ def _lex(text, alphabet):
         else:
             toks.append((val, val, line, col))
         pos = m.end()
-    line, col = _linecol(text, len(text))
+    line, col = linecol(len(text))
     toks.append(("eof", "", line, col))
     return toks
 

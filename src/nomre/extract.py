@@ -5,7 +5,9 @@ classical finite automaton whose atoms are letters and register reads.
 Extraction folds layers top-down: every excursion that enters layer k+1 by
 ``*`` and leaves by ``close i`` contributes a generalized edge labelled by
 a binder over the canonical k+1st name, closing on the canonical i-th name.
-State elimination inside a layer then produces the label expressions.
+One state elimination per layer produces the label expressions for all
+entry/exit pairs at once: every ``*`` target is a source, every close
+source a sink.
 Canonical register naming (n1, n2, ...) is fixed; alpha-equivalence makes
 the choice immaterial.
 """
@@ -92,39 +94,47 @@ _SRC = ("src",)
 _DST = ("dst",)
 
 
-def _eliminate(nodes, edges, src, dsts):
-    """Classical state elimination from src to any of dsts.
+def _eliminate(nodes, edges, sources, sinks):
+    """Classical state elimination: one pass for all source/sink pairs.
 
-    Returns the path expression, or None when no path exists. Nodes are
-    eliminated in ascending id order.
+    ``sources`` maps a source tag to the node it enters and ``sinks`` maps a
+    node to the sink tag it leaves by; several nodes may share a sink tag.
+    Tags are never eliminated, so one pass over ``nodes`` (ascending id
+    order) yields every path expression. Returns {(source tag, sink tag):
+    expression}, with no entry where no path exists.
     """
-    graph = {}
+    succ = {}  # node -> {successor: label}
+    pred = {}  # node -> {predecessor: label}
 
     def add(f, t, e):
         if e is None or isinstance(e, Zero):
             return
-        cur = graph.get((f, t))
-        graph[(f, t)] = e if cur is None else mk_sum(cur, e)
+        cur = succ.setdefault(f, {}).get(t)
+        if cur is not None:
+            e = mk_sum(cur, e)
+        succ[f][t] = pred.setdefault(t, {})[f] = e
 
     for f, e, t in edges:
         add(f, t, e)
-    add(_SRC, src, ONE)
-    for d in dsts:
-        add(d, _DST, ONE)
+    for tag, node in sources.items():
+        add(tag, node, ONE)
+    for node, tag in sinks.items():
+        add(node, tag, ONE)
     for s in sorted(nodes):
-        loop = graph.pop((s, s), None)
-        ins = [(f, e) for (f, t), e in graph.items() if t == s]
-        outs = [(t, e) for (f, t), e in graph.items() if f == s]
-        for f, _ in ins:
-            del graph[(f, s)]
-        for t, _ in outs:
-            del graph[(s, t)]
+        outs = succ.pop(s, {})
+        ins = pred.pop(s, {})
+        loop = outs.pop(s, None)
+        ins.pop(s, None)
+        for f in ins:
+            del succ[f][s]
+        for t in outs:
+            del pred[t][s]
         mid = mk_star(loop) if loop is not None else None
-        for f, ein in ins:
-            for t, eout in outs:
-                piece = ein if mid is None else mk_cat(ein, mid)
+        for f, ein in ins.items():
+            piece = ein if mid is None else mk_cat(ein, mid)
+            for t, eout in outs.items():
                 add(f, t, mk_cat(piece, eout))
-    return graph.get((_SRC, _DST))
+    return {(tag, t): e for tag in sources for t, e in succ.get(tag, {}).items()}
 
 
 def _atom(lab):
@@ -151,16 +161,19 @@ def extract_expr(a: Cda):
         nodes = view.layers.get(k, ())
         entries = [(p, r) for p, r in view.star_edges if sm[p].regs == k - 1]
         exits = [(f, i, q) for f, i, q in view.close_edges if sm[f].regs == k]
+        sources = {(_SRC, r): r for _, r in entries}
+        paths = _eliminate(nodes, gen.get(k, ()), sources, {f: (_DST, f) for f, _, _ in exits})
         for p, r in entries:
             for f, i, q in exits:
-                body = _eliminate(nodes, gen.get(k, ()), r, (f,))
+                body = paths.get(((_SRC, r), (_DST, f)))
                 if body is None:
                     continue
                 wrapped = Bind(canonical_register_name(k), body, canonical_register_name(i))
                 gen.setdefault(k - 1, []).append((p, wrapped, q))
     finals = sorted(a.finals())
-    out = _eliminate(view.layers.get(0, ()), gen.get(0, ()), a.initial, tuple(finals))
-    return out if out is not None else ZERO
+    paths = _eliminate(view.layers.get(0, ()), gen.get(0, ()), {_SRC: a.initial},
+                       {f: _DST for f in finals})
+    return paths.get((_SRC, _DST), ZERO)
 
 
 # ---------------------------------------------------------- determinization

@@ -61,6 +61,22 @@ def test_parse_errors():
         parse("a b ?", ("a", "b"))
 
 
+@pytest.mark.parametrize(
+    "text, line, col, msg",
+    [
+        ("a b\n  <$x.\n $x ?>", 3, 5, "unexpected character '?'"),
+        ("a b\n\n  <$x.$x> xyz", 3, 11, "letter 'xyz' not in alphabet"),
+        ("a\n  <$x\n   $x>", 3, 4, "expected ., found 'x'"),
+        ("a (b\n  +\n   *)", 3, 4, "unexpected '*'"),
+    ],
+)
+def test_parse_error_positions(text, line, col, msg):
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == "%d:%d: %s" % (line, col, msg)
+
+
 def test_render_basics():
     assert render(ONE) == "1"
     n = name("n")

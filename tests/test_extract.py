@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from nomre import extract
 from nomre.automata import (
     Cda,
     CdaClass,
@@ -12,7 +15,7 @@ from nomre.automata import (
     validate,
 )
 from nomre.compiler import compile_expr
-from nomre.corpus import ALPHABET
+from nomre.corpus import ALPHABET, all_expr_texts, handbuilt_automata
 from nomre.expr import NreClass, check_wellformed, classify, parse, render
 from nomre.extract import determinize_layers, extract_expr, layered_view
 from nomre.genexpr import corpus_of_classes
@@ -144,3 +147,53 @@ def test_extract_class_preservation(hand_automata):
     for a in autos:
         got = classify(extract_expr(a))
         assert got in _MATCH[class_of(a).tag]
+
+
+def test_eliminate_all_pairs_agree_with_single_pairs(monkeypatch, corpus_exprs):
+    """One elimination per layer gives, for each source and sink, what an
+    elimination with only that source and that sink gives."""
+    one_pass = extract._eliminate
+    pairs_per_call = []
+
+    def checked(nodes, edges, sources, sinks):
+        got = one_pass(nodes, edges, sources, sinks)
+        for src, node in sources.items():
+            for tag in set(sinks.values()):
+                alone = one_pass(nodes, edges, {src: node},
+                                 {n: t for n, t in sinks.items() if t == tag})
+                assert got.get((src, tag)) == alone.get((src, tag))
+        assert set(got) <= {(src, tag) for src in sources for tag in sinks.values()}
+        pairs_per_call.append(len(sources) * len(set(sinks.values())))
+        return got
+
+    monkeypatch.setattr(extract, "_eliminate", checked)
+    autos = list(handbuilt_automata().values())
+    autos += [compile_expr(e) for e in corpus_exprs.values()]
+    for a in autos:
+        extract_expr(a)
+    assert len(pairs_per_call) > len(autos) and max(pairs_per_call) > 1
+
+
+GOLDEN_EXTRACT = os.path.join(os.path.dirname(__file__), "golden", "extract.txt")
+
+
+def _extraction_lines():
+    autos = [("hand " + k, a) for k, a in handbuilt_automata().items()]
+    autos += [("compiled " + k, compile_expr(P(t))) for k, t in all_expr_texts().items()]
+    return ["%s\t%s\n" % (k, render(extract_expr(a))) for k, a in autos]
+
+
+def test_extract_golden_text():
+    """Extraction text is pinned: a change of elimination order regenerates it."""
+    with open(GOLDEN_EXTRACT) as fh:
+        want = fh.readlines()
+    got = _extraction_lines()
+    assert [line.split("\t")[0] for line in got] == [line.split("\t")[0] for line in want]
+    for g, w in zip(got, want):
+        assert g == w, g.split("\t")[0]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_extract.py rewrites the golden file.
+    with open(GOLDEN_EXTRACT, "w") as fh:
+        fh.writelines(_extraction_lines())
