@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .automata import check_bounds
 from .compiler import ContextTriple
-from .errors import ContextError, ResourceLimitError
+from .errors import ContextError, ResourceLimitError, ValidationError
 from .expr import (
     Bind,
     Cat,
@@ -144,6 +144,8 @@ _FOREST_CAP = 20000
 
 def ctxc_derive(t: ContextTriple, star_bound: int):
     """All resolved derivations of the triple, stars unfolded 0..star_bound."""
+    if star_bound < 0:
+        raise ValidationError("star_bound must be >= 0")
     count = [0]
 
     def charge(n=1):

@@ -9,7 +9,9 @@ names $-prefixed; the empty string is the empty word.
 import argparse
 import sys
 
-from . import automata, calculus, compiler, extract
+# Each subcommand imports the rest of the package it needs when it runs,
+# so that a process loads only its own modules: accept never loads the
+# expression parser or the calculus.
 from .errors import (
     CompileError,
     ContextError,
@@ -19,7 +21,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .expr import check_wellformed, classify, parse, render
 from .nominal import Letter, name
 
 EXIT_USAGE = 2
@@ -28,11 +29,17 @@ EXIT_VALIDATION = 4
 EXIT_RESOURCE = 5
 
 
+def _name(raw):
+    if raw == "$":
+        raise ValidationError("a name needs a spelling after '$'")
+    return name(raw[1:])
+
+
 def parse_word(text):
     toks = []
     for raw in text.split():
         if raw.startswith("$"):
-            toks.append(name(raw[1:]))
+            toks.append(_name(raw))
         else:
             toks.append(Letter(raw))
     return tuple(toks)
@@ -49,7 +56,7 @@ def _parse_pool(text):
     for raw in text.replace(",", " ").split():
         if not raw.startswith("$"):
             raise ValidationError("pool entries are $-prefixed names, got %r" % raw)
-        out.append(name(raw[1:]))
+        out.append(_name(raw))
     return tuple(out)
 
 
@@ -58,17 +65,23 @@ def _parse_letters(text):
 
 
 def _load_expr(path, letters):
+    from .expr import parse
+
     with open(path) as f:
         text = f.read()
     return parse(text, letters)
 
 
 def _load_automaton(path):
+    from .automata import from_json
+
     with open(path) as f:
-        return automata.from_json(f.read())
+        return from_json(f.read())
 
 
 def cmd_check(args):
+    from .expr import check_wellformed, classify
+
     e = _load_expr(args.expr_file, _parse_letters(args.letters))
     rep = check_wellformed(e)
     print("class: %s" % classify(e).value)
@@ -82,9 +95,12 @@ def cmd_check(args):
 
 
 def cmd_compile(args):
+    from .automata import to_dot, to_json
+    from .compiler import compile_expr
+
     e = _load_expr(args.expr_file, _parse_letters(args.letters))
-    a = compiler.compile_expr(e)
-    payload = automata.to_dot(a) if args.format == "dot" else automata.to_json(a)
+    a = compile_expr(e)
+    payload = to_dot(a) if args.format == "dot" else to_json(a)
     if args.out == "-":
         print(payload)
     else:
@@ -94,23 +110,29 @@ def cmd_compile(args):
 
 
 def cmd_accept(args):
+    from .automata import accept
+
     a = _load_automaton(args.automaton)
     w = parse_word(args.word)
-    return 0 if automata.accept(a, w) else 1
+    return 0 if accept(a, w) else 1
 
 
 def cmd_enumerate(args):
+    from .automata import enumerate_words, word_sort_key
+
     a = _load_automaton(args.automaton)
-    words = automata.enumerate_words(a, _parse_pool(args.pool), args.maxlen)
-    for w in sorted(words, key=automata.word_sort_key):
+    words = enumerate_words(a, _parse_pool(args.pool), args.maxlen)
+    for w in sorted(words, key=word_sort_key):
         print(format_word(w))
     return 0
 
 
 def cmd_equiv(args):
+    from .automata import equiv_bounded
+
     a = _load_automaton(args.automaton)
     b = _load_automaton(args.automaton_b)
-    ce = automata.equiv_bounded(a, b, _parse_pool(args.pool), args.maxlen)
+    ce = equiv_bounded(a, b, _parse_pool(args.pool), args.maxlen)
     if ce is None:
         print("equivalent (bounded)")
         return 0
@@ -119,8 +141,11 @@ def cmd_equiv(args):
 
 
 def cmd_extract(args):
+    from .expr import render
+    from .extract import extract_expr
+
     a = _load_automaton(args.automaton)
-    e = extract.extract_expr(a)
+    e = extract_expr(a)
     text = render(e)
     if args.out == "-":
         print(text)
@@ -131,14 +156,18 @@ def cmd_extract(args):
 
 
 def cmd_derive(args):
+    from .calculus import derivation_dump
+
     e = _load_expr(args.expr_file, _parse_letters(args.letters))
-    sys.stdout.write(calculus.derivation_dump(e, star_bound=args.star_bound))
+    sys.stdout.write(derivation_dump(e, star_bound=args.star_bound))
     return 0
 
 
 def cmd_dot(args):
+    from .automata import to_dot
+
     a = _load_automaton(args.automaton)
-    print(automata.to_dot(a))
+    print(to_dot(a))
     return 0
 
 

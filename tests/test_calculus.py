@@ -24,7 +24,7 @@ from nomre.calculus import (
 )
 from nomre.compiler import ContextTriple, compile_expr
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
-from nomre.errors import ResourceLimitError
+from nomre.errors import ResourceLimitError, ValidationError
 from nomre.expr import ONE, Star, Under, parse
 from nomre.genexpr import random_nre
 from nomre.nominal import (
@@ -85,6 +85,11 @@ def test_ctxc_star_unfolding_counts():
     trees = ctxc_derive(t, 2)
     assert [tr.h for tr in trees] == [0, 1, 2]
     assert len(trees) == 3
+    # a negative bound is an error, not a forest without the star's trees
+    with pytest.raises(ValidationError, match="star_bound"):
+        ctxc_derive(t, -1)
+    with pytest.raises(ValidationError, match="star_bound"):
+        derivation_dump(Star(Under(n)), star_bound=-1, pre=(n,))
 
 
 def test_ctxc_forest_cap():

@@ -7,7 +7,7 @@ import pytest
 
 import nomre
 from nomre.automata import from_json, to_json
-from nomre.cli import main, parse_word
+from nomre.cli import build_parser, main, parse_word
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, LSES_TEXT, lses_automaton
 from nomre.expr import parse
@@ -127,7 +127,7 @@ def test_dot_command(lses_json, capsys):
     assert out.startswith("digraph")
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     bad = tmp_path / "bad.nre"
     bad.write_text("<$n.")
     assert main(["check", str(bad)]) == 3
@@ -151,24 +151,67 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["accept", str(badj4), ""]) == 4
     missing = str(tmp_path / "missing.nre")
     assert main(["check", missing]) == 2
+    # a negative star bound is rejected like a negative maxlen
+    assert main(["derive", lses_file, "--letters", "a,b", "--star-bound", "-1"]) == 4
+    # a '$' with no spelling names nothing, in a word or in a pool
+    assert main(["accept", lses_json, "$"]) == 4
+    assert main(["enumerate", lses_json, "--pool", "$,$r", "--maxlen", "3"]) == 4
+    assert capsys.readouterr().out == ""
 
 
-def test_cli_leaves_the_oracle_unimported(lses_json):
+# The nomre modules that each subcommand loads, run through cli.main in a
+# fresh interpreter: `import nomre` loads no submodule, and a subcommand
+# imports only what it uses.
+_BASE = {"nomre", "nomre.cli", "nomre.errors", "nomre.nominal"}
+_RUN = _BASE | {"nomre.automata"}
+_LOADS = {
+    "accept": _RUN,
+    "enumerate": _RUN,
+    "equiv": _RUN,
+    "dot": _RUN,
+    "check": _BASE | {"nomre.expr"},
+    "compile": _RUN | {"nomre.expr", "nomre.compiler"},
+    "extract": _RUN | {"nomre.expr", "nomre.extract"},
+    "derive": _RUN | {"nomre.expr", "nomre.compiler", "nomre.calculus"},
+}
+
+
+def test_cli_leaves_the_oracle_unimported(lses_file, lses_json, tmp_path):
     # the reference semantics live in nomre.oracle alone, off the paths
     # that `import nomre` and the nomre command take
     code = (
-        "import sys, nomre, nomre.cli\n"
-        "assert nomre.cli.main(['accept', sys.argv[1], 'a b $n1 $n2']) == 0\n"
-        "assert 'nomre.oracle' not in sys.modules\n"
+        "import json, sys, nomre.cli\n"
+        "rc = nomre.cli.main(json.loads(sys.argv[1]))\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'nomre')\n"
         "moved = ('Configuration', 'step', 'accept_reference', 'canonical_fresh',\n"
         "         'forest_language_enumerate', 'equal_mod_renaming', '_Bij')\n"
         "for m in (nomre, nomre.automata, nomre.nominal, nomre.calculus):\n"
         "    assert not [n for n in moved if hasattr(m, n)], m\n"
+        "assert 'nomre.oracle' not in sys.modules\n"
+        "print(json.dumps([rc, loaded]))\n"
     )
+    letters = ["--letters", "a,b"]
+    commands = {
+        "accept": ["accept", lses_json, "a b $n1 $n2"],
+        "enumerate": ["enumerate", lses_json, "--pool", "$r1,$r2", "--maxlen", "3"],
+        "equiv": ["equiv", lses_json, lses_json, "--pool", "$r1,$r2", "--maxlen", "3"],
+        "dot": ["dot", lses_json],
+        "check": ["check", lses_file] + letters,
+        "compile": ["compile", lses_file, str(tmp_path / "c.json")] + letters,
+        "extract": ["extract", lses_json, str(tmp_path / "back.nre")],
+        "derive": ["derive", lses_file, "--star-bound", "1"] + letters,
+    }
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted(commands) == sorted(_LOADS) == sorted(subcommands)
     src = os.path.dirname(os.path.dirname(nomre.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    r = subprocess.run([sys.executable, "-c", code, lses_json], env=env, capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
+    for cmd, argv in commands.items():
+        r = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, (cmd, r.stderr)
+        rc, loaded = json.loads(r.stdout.splitlines()[-1])
+        assert rc == 0, cmd
+        assert set(loaded) == _LOADS[cmd], cmd
 
 
 def test_compile_dot_format(lses_file, lses_json, capsys):

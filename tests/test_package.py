@@ -1,0 +1,102 @@
+"""The public names of the package: which they are, where they live, and
+that loading them on first use gives every caller the same objects."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nomre
+
+# Every name `nomre` exports, by the submodule that defines it.
+EXPORTS = {
+    "automata": [
+        "Cda", "CdaClass", "Label", "State", "accept", "class_of", "enumerate_words",
+        "equiv_bounded", "from_json", "to_dot", "to_json", "validate",
+    ],
+    "calculus": [
+        "DerivationTree", "Global", "Local", "Neq", "SchematicWord", "ctxc_derive",
+        "derivation_dump", "flatten_to_neqs", "language_enumerate", "language_member",
+        "lngc_eval", "lngc_results", "schematic_member", "schematic_normalize",
+        "schematic_words_of",
+    ],
+    "compiler": ["ContextTriple", "compile_expr", "compile_in_context"],
+    "errors": [
+        "CompileError", "ContextError", "NomreError", "ParseError", "ResourceLimitError",
+        "SchemaError", "ValidationError",
+    ],
+    "expr": [
+        "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed", "classify",
+        "classify_first_degree", "free_names", "parse", "render",
+    ],
+    "extract": ["determinize_layers", "extract_expr", "layered_view"],
+    "nominal": [
+        "Chronicle", "Letter", "Name", "Perm", "name", "perm_from_lists", "placeholder",
+        "transpose",
+    ],
+}
+HOME = {n: "nomre." + m for m, names in EXPORTS.items() for n in names}
+
+
+def test_public_names_are_pinned():
+    assert len(HOME) == 57
+    assert sorted(nomre.__all__) == sorted(HOME)
+    assert set(nomre.__all__) <= set(dir(nomre))
+    for n, home in HOME.items():
+        assert getattr(nomre, n) is getattr(importlib.import_module(home), n), n
+    for m in EXPORTS:
+        assert getattr(nomre, m) is sys.modules["nomre." + m]
+
+
+def test_star_import_binds_every_export():
+    ns = {}
+    exec("from nomre import *", ns)
+    for n in HOME:
+        assert ns[n] is getattr(nomre, n), n
+
+
+def test_unknown_names_raise_attribute_error():
+    for n in ("no_such_name", "accept_reference", "canonical_fresh"):
+        with pytest.raises(AttributeError, match=n):
+            getattr(nomre, n)
+    assert not hasattr(nomre, "word_sort_key")
+
+
+def test_first_access_from_many_threads():
+    # `import nomre` loads no submodule; then 8 threads read every export at
+    # once, with the interpreter switching threads as often as it can, and
+    # each must see the objects of the home module.
+    code = (
+        "import importlib, json, sys, threading\n"
+        "import nomre\n"
+        "assert [m for m in sys.modules if m.startswith('nomre.')] == []\n"
+        "home = json.loads(sys.argv[1])\n"
+        "names = sorted(home)\n"
+        "start = threading.Barrier(8)\n"
+        "seen = [None] * 8\n"
+        "def read(k):\n"
+        "    start.wait()\n"
+        "    order = names[7 * k:] + names[:7 * k]\n"
+        "    seen[k] = {n: getattr(nomre, n) for n in order}\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "for got in seen:\n"
+        "    assert got is not None and sorted(got) == names\n"
+        "    for n, v in got.items():\n"
+        "        assert v is getattr(importlib.import_module(home[n]), n), n\n"
+        "assert not hasattr(nomre, 'oracle') and 'nomre.oracle' not in sys.modules\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nomre.__file__)))
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(HOME)], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ok"]
