@@ -21,7 +21,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter
+from .nominal import Letter, Name, _orbit_words
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,41 +307,57 @@ def accept(a, w):
 
 
 def check_bounds(pool, maxlen):
-    """Reject a pool with repeated names and a negative length bound."""
+    """Reject a pool of anything but distinct names, and a negative length
+    bound."""
+    for n in pool:
+        if not isinstance(n, Name):
+            raise ValidationError("pool members must be names, got %r" % (n,))
     if len(set(pool)) != len(pool):
         raise ValidationError("pool must be repetition-free")
     if maxlen < 0:
         raise ValidationError("maxlen must be >= 0")
 
 
-def enumerate_words(a, pool, maxlen):
-    """All accepted words over the letters of ``a`` plus ``pool``, length <= maxlen."""
-    pool = tuple(pool)
+def _representatives(a, pool, maxlen):
+    """One accepted word per orbit of the bounded language under renaming
+    within the pool: the word whose names first appear in pool order.
+
+    A step offers the letters, the pool names already used and the next
+    unused one. The automaton holds no names, so its language is closed
+    under renaming and the other words of an orbit are accepted too.
+    """
     check_bounds(pool, maxlen)
     eng = _Engine(a)
-    tokens = sorted(a.letters(), key=lambda l: l.sym) + list(pool)
+    letters = tuple(sorted(a.letters(), key=lambda l: l.sym))
     memo = {}
 
-    def go(macro, remaining):
-        got = memo.get((macro, remaining))
+    def go(macro, remaining, used):
+        key = (macro, remaining, used)
+        got = memo.get(key)
         if got is not None:
             return got
         out = set()
         if eng.accepting(macro):
             out.add(())
         if remaining > 0:
-            for tok in tokens:
+            for tok in letters + pool[: used + 1]:
                 stepped = eng.consume(macro, tok)
                 if not stepped:
                     continue
                 nxt = eng.closure(stepped)
-                for suf in go(nxt, remaining - 1):
+                fresh = used < len(pool) and tok is pool[used]
+                for suf in go(nxt, remaining - 1, used + fresh):
                     out.add((tok,) + suf)
-        memo[macro, remaining] = frozenset(out)
-        return memo[macro, remaining]
+        memo[key] = got = frozenset(out)
+        return got
 
-    start = eng.closure([(a.initial, ())])
-    return set(go(start, maxlen))
+    return go(eng.closure([(a.initial, ())]), maxlen, 0)
+
+
+def enumerate_words(a, pool, maxlen):
+    """All accepted words over the letters of ``a`` plus ``pool``, length <= maxlen."""
+    pool = tuple(pool)
+    return _orbit_words(_representatives(a, pool, maxlen), pool)
 
 
 def word_sort_key(w):
@@ -349,13 +365,16 @@ def word_sort_key(w):
 
 
 def equiv_bounded(a, b, pool, maxlen):
-    """None when the bounded enumerations agree, else the least differing word."""
-    wa = enumerate_words(a, pool, maxlen)
-    wb = enumerate_words(b, pool, maxlen)
-    diff = wa ^ wb
+    """None when the bounded enumerations agree, else the least differing word.
+
+    The two languages differ on whole orbits, so only the representatives
+    that differ are expanded.
+    """
+    pool = tuple(pool)
+    diff = _representatives(a, pool, maxlen) ^ _representatives(b, pool, maxlen)
     if not diff:
         return None
-    return min(diff, key=word_sort_key)
+    return min(_orbit_words(diff, pool), key=word_sort_key)
 
 
 # ------------------------------------------------------------ composition

@@ -48,6 +48,7 @@ from .nominal import (
     Name,
     hcv,
     is_placeholder,
+    _orbit_words,
     natural_chronicle,
     perm_from_lists,
     placeholder,
@@ -606,14 +607,34 @@ def language_member(e, w) -> bool:
     return False
 
 
-def _instances(sw, pool):
-    """The words binding the schematic word's placeholders to pool names
-    so that its conditions hold."""
-    slots = tuple(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
-    for choice in itertools.product(pool, repeat=len(slots)):
-        binding = dict(zip(slots, choice))
-        if all(_cond_ok(c, binding) for c in sw.cond):
-            yield tuple(binding.get(x, x) for x in sw.word)
+def _instances(word, conds, pool):
+    """One instance per orbit of an outcome: its placeholders bound, in the
+    order they first occur in the word, each to a pool name already bound or
+    to the next unused one, so that the conditions hold. An inequation is
+    checked as soon as both its sides are bound."""
+    slots = tuple(dict.fromkeys(x for x in word if is_placeholder(x)))
+    rank = {p: i + 1 for i, p in enumerate(slots)}
+    # due[i]: the inequations whose last slot is the i-th, counting from 1
+    due = [[] for _ in range(len(slots) + 1)]
+    for c in conds:
+        for l, r in ((c.l, c.r),) if isinstance(c, Neq) else ((c.p, x) for x in c.wrt):
+            due[max(rank.get(l, 0), rank.get(r, 0))].append((l, r))
+    binding = {}
+    out = []
+
+    def go(i, used):
+        if not all(_pair_ok(l, r, binding) for l, r in due[i]):
+            return
+        if i == len(slots):
+            out.append(tuple(binding.get(x, x) for x in word))
+            return
+        for k in range(min(used + 1, len(pool))):
+            binding[slots[i]] = pool[k]
+            go(i + 1, max(used, k + 1))
+        binding.pop(slots[i], None)
+
+    go(0, 0)
+    return out
 
 
 def language_enumerate(e, pool, maxlen):
@@ -621,10 +642,10 @@ def language_enumerate(e, pool, maxlen):
     _require_closed(e)
     pool = tuple(pool)
     check_bounds(pool, maxlen)
-    words = set()
-    for sw in schematic_words_of(e, maxlen=maxlen):
-        words.update(_instances(sw, pool))
-    return words
+    reps = set()
+    for word, conds, _ in _Evaluator().eval(e, (), (), maxlen):
+        reps.update(_instances(word, conds, pool))
+    return _orbit_words(reps, pool)
 
 
 # ------------------------------------------------------------------- dumps

@@ -11,6 +11,7 @@ Everything in this module is immutable and safe to share across threads.
 """
 
 from dataclasses import dataclass
+import itertools
 
 
 class Name:
@@ -182,6 +183,21 @@ def perm_from_lists(ns, ms):
 def apply_perm_word(p, w):
     """Pointwise action on a word: names mapped, letters fixed."""
     return tuple(p(t) if isinstance(t, Name) else t for t in w)
+
+
+def _orbit_words(reps, pool):
+    """Every word that maps one of the representatives injectively into the
+    pool. A representative's names are the first names of the pool, in order
+    of first appearance; over an equivariant language the words it yields are
+    exactly the bounded words of its orbit."""
+    index = {n: i for i, n in enumerate(pool)}
+    out = set()
+    for w in reps:
+        code = tuple(index.get(t, t) for t in w)
+        k = len({t for t in w if t in index})
+        for choice in itertools.permutations(pool, k):
+            out.add(tuple(choice[c] if type(c) is int else c for c in code))
+    return out
 
 
 @dataclass(frozen=True, slots=True)

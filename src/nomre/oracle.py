@@ -2,19 +2,24 @@
 
 ``step`` and ``accept_reference`` run an automaton one move at a time on
 whole configurations, choosing real machine names for fresh allocations;
-``automata.accept`` and ``automata.enumerate_words`` must agree with them.
+``automata.accept`` must agree with them, and ``enumerate_reference``,
+which tries every word, with ``automata.enumerate_words``.
 ``forest_language_enumerate`` evaluates the derivation forest of
 ``calculus.ctxc_derive`` tree by tree; ``calculus.language_enumerate`` must
 agree with it on expressions whose every star iteration reads a symbol.
+Both enumeration oracles try every pool name wherever a name can go, where
+the production enumerators compute one word per renaming class and
+expand it.
 ``equal_mod_renaming`` compares schematic words up to a
 renaming of placeholders. No module of the package imports this one.
 """
 
 from dataclasses import dataclass
+import itertools
 
 from .automata import validate
 from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schematic_normalize
-from .calculus import _instances, _require_closed
+from .calculus import _cond_ok, _require_closed
 from .compiler import ContextTriple
 from .errors import ResourceLimitError, ValidationError
 from .nominal import Chronicle, Letter, Name, hcv, is_placeholder, sys_name
@@ -131,6 +136,18 @@ def accept_reference(a, w):
     return False
 
 
+def enumerate_reference(a, pool, maxlen):
+    """Every word over the letters of ``a`` plus ``pool``, of length at most
+    maxlen, that accept_reference accepts; test oracle only."""
+    tokens = sorted(a.letters(), key=lambda l: l.sym) + list(pool)
+    return {
+        w
+        for n in range(maxlen + 1)
+        for w in itertools.product(tokens, repeat=n)
+        if accept_reference(a, w)
+    }
+
+
 # ------------------------------------------------------ language calculus
 
 class _Bij:
@@ -212,6 +229,16 @@ def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
         return False
 
     return match(list(a.cond), list(b.cond))
+
+
+def _instances(sw, pool):
+    """The words binding the schematic word's placeholders to pool names
+    so that its conditions hold: every binding is tried."""
+    slots = tuple(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
+    for choice in itertools.product(pool, repeat=len(slots)):
+        binding = dict(zip(slots, choice))
+        if all(_cond_ok(c, binding) for c in sw.cond):
+            yield tuple(binding.get(x, x) for x in sw.word)
 
 
 def forest_language_enumerate(e, pool, maxlen):

@@ -32,12 +32,20 @@ from nomre.automata import (
 )
 from nomre.calculus import language_enumerate
 from nomre.compiler import compile_expr
-from nomre.corpus import ALPHABET, LSES_TEXT, LTHS_TEXT, lonet_automaton, lses_automaton
+from nomre.corpus import (
+    ALPHABET,
+    LONET_TEXT,
+    LSES_TEXT,
+    LTHS_TEXT,
+    default_pool,
+    lonet_automaton,
+    lses_automaton,
+)
 from nomre.errors import SchemaError, ValidationError
 from nomre.expr import parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import Letter, chronicle, name, placeholder, sys_name
-from nomre.oracle import Configuration, accept_reference, step
+from nomre.oracle import Configuration, accept_reference, enumerate_reference, step
 
 r1, r2, r3 = name("r1"), name("r2"), name("r3")
 S0, S1, P1 = sys_name(0), sys_name(1), placeholder(1)
@@ -206,10 +214,32 @@ def test_equiv_bounded_self_and_trivial(pool3):
     assert equiv_bounded(a, z, pool3, 3) == ()
 
 
-def test_equiv_bounded_reports_least_word(pool3):
-    a = compile_expr(P("a b"))
-    b = compile_expr(P("a b + a"))
-    assert equiv_bounded(a, b, pool3, 3) == (A,)
+def test_equiv_bounded_reports_least_word(rng):
+    # equiv_bounded compares one word per renaming class; its witness must
+    # still be the least word of the difference of the whole languages, in
+    # any pool order
+    pool = (r1, r2, r3)
+    orders = (pool, pool[::-1], tuple(rng.sample(pool, len(pool))))
+    lses = P(LSES_TEXT)
+    pairs = [(P("a b"), P("a b + a"), 3)] + [(lses, P(t), 4) for t in (
+        LONET_TEXT,
+        "a b <$m. _$m* >",
+        "a b <$n. $n* >",
+        "b a <$n. _$n* >",
+        "a b <$n. _$n* > <$m. _$m* >",
+        "a b <$n. _$n <$m. _$m* > >",
+    )]
+    full = {}
+    for l, r, maxlen in pairs:
+        a, b = compile_expr(l), compile_expr(r)
+        for e, x in ((l, a), (r, b)):
+            if (e, maxlen) not in full:
+                full[e, maxlen] = enumerate_reference(x, pool, maxlen)
+        diff = full[l, maxlen] ^ full[r, maxlen]
+        want = min(diff, key=word_sort_key) if diff else None
+        for order in orders:
+            assert equiv_bounded(a, b, order, maxlen) == want, (render(r), order)
+    assert equiv_bounded(compile_expr(P("a b")), compile_expr(P("a b + a")), pool, 3) == (A,)
 
 
 def test_sum_against_union_construction(rng, pool3):
@@ -413,13 +443,49 @@ def test_kleene_differential_over_reserved_pool():
 
 
 def test_enumerations_reject_bad_bounds(pool3):
-    e = P("1")
+    e = P(LSES_TEXT)
     a = compile_expr(e)
-    for pool, maxlen in (((r1, r1), 2), (pool3, -1)):
+    bad = (((r1, r1), 2), (pool3, -1), ((A,), 3), ((r1, B), 3), ("ab", 2), ((r1, "r2"), 2))
+    for pool, maxlen in bad:
         with pytest.raises(ValidationError):
             enumerate_words(a, pool, maxlen)
         with pytest.raises(ValidationError):
             language_enumerate(e, pool, maxlen)
+        with pytest.raises(ValidationError):
+            equiv_bounded(a, a, pool, maxlen)
+    # reserved names and placeholders are names like any other
+    want = {(A, B), (A, B, S0), (A, B, P1)}
+    assert enumerate_words(a, (S0, P1), 3) == language_enumerate(e, (S0, P1), 3) == want
+
+
+def test_enumerate_words_agrees_with_reference(corpus_exprs, oracle_pools):
+    # the reference tries every word, with no renaming classes
+    for key, e in corpus_exprs.items():
+        a = compile_expr(e)
+        for pool in oracle_pools:
+            maxlen = 4 if len(pool) == 3 and key != "lths" else 3
+            assert enumerate_words(a, pool, maxlen) == enumerate_reference(a, pool, maxlen), key
+    for i, e in enumerate(corpus_of_classes(seed=7, total=200)[::4]):
+        pool = oracle_pools[i % len(oracle_pools)]
+        maxlen = 3 if len(pool) == 3 else 2
+        a = compile_expr(e)
+        assert enumerate_words(a, pool, maxlen) == enumerate_reference(a, pool, maxlen), render(e)
+
+
+def test_enumeration_work_is_one_orbit_at_a_time(monkeypatch):
+    # each step offers the used pool names and one unused name, not the
+    # whole pool, so the macro states explored stay few
+    calls = [0]
+    closure = _Engine.closure
+
+    def counting(self, *args):
+        calls[0] += 1
+        return closure(self, *args)
+
+    monkeypatch.setattr(_Engine, "closure", counting)
+    words = enumerate_words(compile_expr(P(LTHS_TEXT)), default_pool(5), 8)
+    assert len(words) == 9371
+    assert calls[0] <= 1000
 
 
 def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_exprs):

@@ -6,6 +6,7 @@ import pytest
 from nomre.automata import enumerate_words
 from nomre.calculus import (
     DerivationTree,
+    _instances,
     Global,
     Local,
     Neq,
@@ -25,8 +26,8 @@ from nomre.calculus import (
 from nomre.compiler import ContextTriple, compile_expr
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
 from nomre.errors import ResourceLimitError, ValidationError
-from nomre.expr import ONE, Star, Under, parse
-from nomre.genexpr import random_nre
+from nomre.expr import ONE, Star, Under, parse, render
+from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import (
     Letter,
     chronicle,
@@ -291,7 +292,9 @@ def test_cat_associative_at_language_level(rng, pool3):
         assert l == r
 
 
-def test_forest_agrees_with_fused(rng, pool3, corpus_exprs):
+def test_forest_agrees_with_fused(rng, pool3, corpus_exprs, oracle_pools):
+    # the forest oracle binds every placeholder to every pool name, where
+    # the fused enumerator expands one instance per renaming class
     checked = 0
     for _ in range(25):
         e = random_nre(rng, size=4)
@@ -304,10 +307,32 @@ def test_forest_agrees_with_fused(rng, pool3, corpus_exprs):
     assert checked >= 10
     # diamond and big extend relative-global conditions across permuting
     # closes; lths exceeds the forest cap
-    pool4 = default_pool(4)
     for key in ("lses", "lonet", "succ_distinct", "diamond", "big"):
         e = corpus_exprs[key]
-        assert forest_language_enumerate(e, pool4, 7) == language_enumerate(e, pool4, 7), key
+        for pool in oracle_pools:
+            maxlen = 7 if pool == default_pool(4) else 5
+            assert forest_language_enumerate(e, pool, maxlen) == language_enumerate(e, pool, maxlen), key
+    checked = 0
+    for i, e in enumerate(corpus_of_classes(seed=101, total=200)[::8]):
+        pool = oracle_pools[i % len(oracle_pools)]
+        try:
+            a = forest_language_enumerate(e, pool, 3)
+        except ResourceLimitError:
+            continue
+        checked += 1
+        assert a == language_enumerate(e, pool, 3), render(e)
+    assert checked >= 40
+
+
+def test_instances_give_one_word_per_orbit(pool3):
+    # each placeholder takes a name already bound or the next unused one
+    reps = [
+        w
+        for sw in schematic_words_of(P("<$x._$x*>"), maxlen=5)
+        for w in _instances(sw.word, sw.cond, pool3)
+    ]
+    assert sorted(reps, key=len) == [pool3[:n] for n in range(4)]
+    assert len(language_enumerate(P("<$x._$x*>"), pool3, 5)) == 1 + 3 + 6 + 6
 
 
 def test_permutation_closure_of_language(rng, pool3, corpus_exprs):
