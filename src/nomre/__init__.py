@@ -26,14 +26,14 @@ _EXPORTS = {
         "lngc_eval", "lngc_results", "schematic_member", "schematic_normalize",
         "schematic_words_of",
     ),
-    "compiler": ("ContextTriple", "compile_expr", "compile_in_context"),
+    "compiler": ("compile_expr", "compile_in_context"),
     "errors": (
         "CompileError", "ContextError", "NomreError", "ParseError", "ResourceLimitError",
         "SchemaError", "ValidationError",
     ),
     "expr": (
-        "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed", "classify",
-        "classify_first_degree", "free_names", "parse", "render",
+        "ContextTriple", "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed",
+        "classify", "classify_first_degree", "free_names", "parse", "render",
     ),
     "extract": ("determinize_layers", "extract_expr", "layered_view"),
     "nominal": (

@@ -21,7 +21,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter, Name, _orbit_words
+from .nominal import Letter, _orbit_words, check_bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,18 +304,6 @@ def accept(a, w):
             return False
         macro = eng.closure(stepped)
     return eng.accepting(macro)
-
-
-def check_bounds(pool, maxlen):
-    """Reject a pool of anything but distinct names, and a negative length
-    bound."""
-    for n in pool:
-        if not isinstance(n, Name):
-            raise ValidationError("pool members must be names, got %r" % (n,))
-    if len(set(pool)) != len(pool):
-        raise ValidationError("pool must be repetition-free")
-    if maxlen < 0:
-        raise ValidationError("maxlen must be >= 0")
 
 
 def _representatives(a, pool, maxlen):

@@ -24,12 +24,11 @@ are determined.
 import itertools
 from dataclasses import dataclass, replace
 
-from .automata import check_bounds
-from .compiler import ContextTriple
 from .errors import ContextError, ResourceLimitError, ValidationError
 from .expr import (
     Bind,
     Cat,
+    ContextTriple,
     Lit,
     Nam,
     One,
@@ -46,6 +45,7 @@ from .nominal import (
     Chronicle,
     Letter,
     Name,
+    check_bounds,
     hcv,
     is_placeholder,
     _orbit_words,
@@ -140,6 +140,13 @@ def _binder_subcontext(e, pre, post):
     return x, body, pre + (x,), sub_post
 
 
+def _check_context(pre, post):
+    """Reject a context holding a ~k or *k: the calculus draws its own atoms there."""
+    for x in itertools.chain(pre, _atoms((), (), post)):
+        if isinstance(x, Name) and x.kind != Name.K_USER:
+            raise ContextError("context name %r is reserved for the calculus" % (x,))
+
+
 _FOREST_CAP = 20000
 
 
@@ -147,6 +154,7 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
     """All resolved derivations of the triple, stars unfolded 0..star_bound."""
     if star_bound < 0:
         raise ValidationError("star_bound must be >= 0")
+    _check_context(t.pre, t.post)
     count = [0]
 
     def charge(n=1):
@@ -469,12 +477,8 @@ def _canon_outcome(word, conds, post):
                 wrt = tuple(dict.fromkeys(filter(obs, c.wrt)))
                 if wrt:
                     pruned.append(Local(c.p, wrt))
-        elif isinstance(c, Global):
-            if obs(c.p):
-                pruned.append(Global(c.p, c.reg, tuple(dict.fromkeys(filter(obs, c.wrt)))))
-        else:
-            if obs(c.l) and obs(c.r) or c.l is c.r:
-                pruned.append(c)
+        elif obs(c.p):
+            pruned.append(Global(c.p, c.reg, tuple(dict.fromkeys(filter(obs, c.wrt)))))
     conds = tuple(pruned)
     post = tuple(Chronicle(tuple(filter(obs, ch.hist)), ch.cv) for ch in post)
 
@@ -585,7 +589,9 @@ class _Evaluator:
 
 def schematic_words_of(e, pre=(), post=(), maxlen=6):
     """All schematic words of the expression in-context, words <= maxlen."""
-    outs = _Evaluator().eval(e, tuple(pre), tuple(post), maxlen)
+    pre, post = tuple(pre), tuple(post)
+    _check_context(pre, post)
+    outs = _Evaluator().eval(e, pre, post, maxlen)
     return [SchematicWord(w, c) for w, c, _ in sorted(outs, key=lambda o: (len(o[0]), repr(o)))]
 
 
@@ -617,8 +623,8 @@ def _instances(word, conds, pool):
     # due[i]: the inequations whose last slot is the i-th, counting from 1
     due = [[] for _ in range(len(slots) + 1)]
     for c in conds:
-        for l, r in ((c.l, c.r),) if isinstance(c, Neq) else ((c.p, x) for x in c.wrt):
-            due[max(rank.get(l, 0), rank.get(r, 0))].append((l, r))
+        for x in c.wrt:
+            due[max(rank.get(c.p, 0), rank.get(x, 0))].append((c.p, x))
     binding = {}
     out = []
 

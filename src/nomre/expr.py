@@ -21,7 +21,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import CompileError, ParseError
 from .nominal import Letter, Name, name, transpose
 
 
@@ -89,6 +89,17 @@ Nre = One | Zero | Lit | Nam | Under | Sum | Cat | Star | Bind
 
 ONE = One()
 ZERO = Zero()
+
+
+@dataclass(frozen=True)
+class ContextTriple:
+    pre: tuple  # pairwise distinct names
+    payload: object
+    post: tuple  # extant chronicle
+
+    def __post_init__(self):
+        if len(set(self.pre)) != len(self.pre):
+            raise CompileError("pre-context is not repetition-free")
 
 
 class NreClass(enum.Enum):

@@ -13,6 +13,8 @@ Everything in this module is immutable and safe to share across threads.
 from dataclasses import dataclass
 import itertools
 
+from .errors import ValidationError
+
 
 class Name:
     """An atom of the name universe. Interned: equal names are identical."""
@@ -183,6 +185,18 @@ def perm_from_lists(ns, ms):
 def apply_perm_word(p, w):
     """Pointwise action on a word: names mapped, letters fixed."""
     return tuple(p(t) if isinstance(t, Name) else t for t in w)
+
+
+def check_bounds(pool, maxlen):
+    """Reject a pool of anything but distinct names, and a negative length
+    bound."""
+    for n in pool:
+        if not isinstance(n, Name):
+            raise ValidationError("pool members must be names, got %r" % (n,))
+    if len(set(pool)) != len(pool):
+        raise ValidationError("pool must be repetition-free")
+    if maxlen < 0:
+        raise ValidationError("maxlen must be >= 0")
 
 
 def _orbit_words(reps, pool):

@@ -20,8 +20,8 @@ import itertools
 from .automata import validate
 from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schematic_normalize
 from .calculus import _cond_ok, _require_closed
-from .compiler import ContextTriple
 from .errors import ResourceLimitError, ValidationError
+from .expr import ContextTriple
 from .nominal import Chronicle, Letter, Name, hcv, is_placeholder, sys_name
 
 

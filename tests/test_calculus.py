@@ -23,12 +23,13 @@ from nomre.calculus import (
     schematic_normalize,
     schematic_words_of,
 )
-from nomre.compiler import ContextTriple, compile_expr
+from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
-from nomre.errors import ResourceLimitError, ValidationError
-from nomre.expr import ONE, Star, Under, parse, render
+from nomre.errors import CompileError, ContextError, ResourceLimitError, ValidationError
+from nomre.expr import ONE, Bind, Cat, Nam, Star, Under, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import (
+    Chronicle,
     Letter,
     chronicle,
     name,
@@ -220,6 +221,50 @@ def test_open_context_schematic_word(pool3):
     assert not schematic_member(sw, (n, n, n))
 
 
+def test_context_must_not_hold_the_calculus_name_supplies():
+    # binder atoms are ~k and placeholders *k, so a context holding either
+    # would be captured; such a context is rejected, naming the culprit
+    n = name("n")
+    sys1, ph1 = sys_name(1), placeholder(1)
+    cases = [
+        ((sys1,), Cat(Bind(n, Nam(n), n), Nam(sys1)), natural_chronicle((sys1,)), "~1"),
+        ((ph1,), Cat(Under(ph1), Nam(ph1)), natural_chronicle((ph1,)), r"\*1"),
+        ((n,), Nam(n), (Chronicle((n, sys1), n),), "~1"),
+    ]
+    for pre, e, post, culprit in cases:
+        with pytest.raises(ContextError, match=culprit):
+            schematic_words_of(e, pre=pre, post=post, maxlen=3)
+        with pytest.raises(ContextError, match=culprit):
+            ctxc_derive(ContextTriple(pre, e, post), 2)
+        with pytest.raises(ContextError, match=culprit):
+            derivation_dump(e, pre=pre, post=post)
+
+
+def test_close_name_must_be_a_current_value_in_both_semantics():
+    m, z = name("m"), name("z")
+    t = ContextTriple((m,), P("<$n.$n>$m"), (Chronicle((m, z), z),))
+    with pytest.raises(CompileError, match="close name"):
+        compile_in_context(t)
+    with pytest.raises(ContextError, match="close name"):
+        ctxc_derive(t, 2)
+    with pytest.raises(ContextError, match="close name"):
+        schematic_words_of(t.payload, pre=t.pre, post=t.post)
+    # a close name that only the post-context holds names that register
+    e = P("<$n.$n>$z")
+    (close,) = [lab for _, lab, _ in compile_in_context(ContextTriple((m,), e, t.post)).transitions
+                if lab.kind == "close"]
+    assert close.index == 1
+    assert schematic_words_of(e, pre=(m,), post=t.post, maxlen=1)
+
+
+def test_language_of_an_open_or_ill_formed_expression_is_an_error(pool3):
+    for text, why in (("$n a", "closed"), ("<$n. _$m>", "ill-formed")):
+        with pytest.raises(ContextError, match=why):
+            language_enumerate(P(text), pool3, 3)
+        with pytest.raises(ContextError, match=why):
+            language_member(P(text), (A,))
+
+
 def test_language_enumerate_succ_distinct(pool3):
     e = P("<$m.(<$n.$n>$m)*>")
     words = language_enumerate(e, pool3, 3)
@@ -354,3 +399,6 @@ def test_derivation_dump_mentions_rules():
     text = derivation_dump(P(DIAMOND_TEXT))
     assert "(bind!=)" in text and "(n_)" in text
     assert "schematic:" in text and "inequations:" in text
+    text = derivation_dump(P("<$x._$x*>"), star_bound=2)
+    assert all("(star h=%d)" % h in text for h in (0, 1, 2))
+    assert "(star h=3)" not in text

@@ -172,7 +172,7 @@ _LOADS = {
     "check": _BASE | {"nomre.expr"},
     "compile": _RUN | {"nomre.expr", "nomre.compiler"},
     "extract": _RUN | {"nomre.expr", "nomre.extract"},
-    "derive": _RUN | {"nomre.expr", "nomre.compiler", "nomre.calculus"},
+    "derive": _BASE | {"nomre.expr", "nomre.calculus"},
 }
 
 

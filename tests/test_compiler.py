@@ -14,12 +14,13 @@ from nomre.automata import (
     equiv_bounded,
     validate,
 )
+from nomre.calculus import language_enumerate
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, default_pool, lses_predicate
 from nomre.errors import CompileError
 from nomre.expr import Bind, Cat, Nam, NreClass, Star, Sum, Under, classify, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, chronicle, name
+from nomre.nominal import Letter, chronicle, name, natural_chronicle, sys_name
 
 A, B = Letter("a"), Letter("b")
 
@@ -58,6 +59,9 @@ def test_compile_in_context_name_read():
     assert all(s.regs == 1 for s in a.states)
     ((f, lab, to),) = a.transitions
     assert lab.kind == "reg" and lab.index == 1
+    # an extant post-context has pairwise distinct current values
+    with pytest.raises(CompileError, match="extant"):
+        compile_in_context(ContextTriple((na,), Nam(na), (chronicle([na], na),) * 2))
 
 
 def test_compile_in_context_under_read():
@@ -77,6 +81,34 @@ def test_compile_in_context_simple_binder(pool3):
     reg = next(lab for _, lab, _ in a.transitions if lab.kind == "reg")
     assert close.index == 1 and reg.index == 1
     assert enumerate_words(a, pool3, 2) == {(x,) for x in pool3}
+
+
+@pytest.mark.parametrize("text", [
+    "<$n. <$n. $n >$n $n >",
+    "<$n. $n <$n. _$n $n > $n >",
+    "<$n. (<$n. $n _$n >$n)* $n >",
+    "<$x. <$y. <$x. $x $y>$y $y $x> >",
+])
+def test_shadowed_binders_read_the_innermost_register(text):
+    # a name reads the register of its innermost binder, with no renaming
+    e = P(text)
+    pool = default_pool(3)
+    assert enumerate_words(compile_expr(e), pool, 5) == language_enumerate(e, pool, 5)
+
+
+def test_reserved_context_name_is_not_captured_by_a_binder():
+    # the binder's register is its level, so a context holding ~0 compiles
+    z = sys_name(0)
+    n = name("n")
+    a = compile_in_context(ContextTriple((z,), Cat(Bind(n, Nam(n), n), Nam(z)), natural_chronicle((z,))))
+    succ = {f: (lab, t) for f, lab, t in a.transitions}
+    assert len(succ) == len(a.transitions)
+    labels, q = [], a.initial
+    while q in succ:
+        lab, q = succ[q]
+        labels.append(repr(lab))
+    assert labels == ["*", "r2", "close2", "eps", "r1"]
+    assert a.state_map()[q].final
 
 
 def test_compile_requires_closed_wellformed():

@@ -23,14 +23,14 @@ EXPORTS = {
         "lngc_eval", "lngc_results", "schematic_member", "schematic_normalize",
         "schematic_words_of",
     ],
-    "compiler": ["ContextTriple", "compile_expr", "compile_in_context"],
+    "compiler": ["compile_expr", "compile_in_context"],
     "errors": [
         "CompileError", "ContextError", "NomreError", "ParseError", "ResourceLimitError",
         "SchemaError", "ValidationError",
     ],
     "expr": [
-        "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed", "classify",
-        "classify_first_degree", "free_names", "parse", "render",
+        "ContextTriple", "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed",
+        "classify", "classify_first_degree", "free_names", "parse", "render",
     ],
     "extract": ["determinize_layers", "extract_expr", "layered_view"],
     "nominal": [
@@ -49,6 +49,11 @@ def test_public_names_are_pinned():
         assert getattr(nomre, n) is getattr(importlib.import_module(home), n), n
     for m in EXPORTS:
         assert getattr(nomre, m) is sys.modules["nomre." + m]
+    # the modules that used to define these still re-export them
+    from nomre.automata import check_bounds
+    from nomre.compiler import ContextTriple
+    assert ContextTriple is nomre.ContextTriple
+    assert check_bounds is importlib.import_module("nomre.nominal").check_bounds
 
 
 def test_star_import_binds_every_export():
