@@ -141,7 +141,9 @@ def _binder_subcontext(e, pre, post):
 
 
 def _check_context(pre, post):
-    """Reject a context holding a ~k or *k: the calculus draws its own atoms there."""
+    """The calculus's own rule on top of the ContextTriple contract: no ~k or
+    *k in a context, since the calculus draws its binder atoms and
+    placeholders from those supplies."""
     for x in itertools.chain(pre, _atoms((), (), post)):
         if isinstance(x, Name) and x.kind != Name.K_USER:
             raise ContextError("context name %r is reserved for the calculus" % (x,))
@@ -210,7 +212,7 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
             return out
         raise TypeError(e)
 
-    return go(t.payload, tuple(t.pre), tuple(t.post))
+    return go(t.payload, t.pre, t.post)
 
 
 # ------------------------------------------------------- language calculus
@@ -265,13 +267,21 @@ def _bind(x, sub, pre, q):
     return word, (Local(q, pre),) + conds, tuple(c.dedup() for c in post)
 
 
-def _concat(left, right, pre):
-    """The concatenation rule: the right outcome is renamed by the
-    permutation matching the pre-context to the left post's current values,
-    and its relative-global conditions are extended by the left chronicle."""
+def _concat(left, right, pre, shift):
+    """The concatenation rule: one atom map moves the right outcome's
+    placeholders up by shift, past the left's (0 when they are already
+    disjoint), and renames every other atom by the permutation matching the
+    pre-context to the left post's current values; the right's
+    relative-global conditions are then extended by the left chronicle.
+    Shifted placeholders miss the permutation's support: a context holds
+    none, and the left post's placeholder values are the left's own."""
     w1, phi1, p1 = left
-    pi = perm_from_lists(tuple(pre), hcv(p1))
-    w2, phi2, p2 = _subst(pi, *right)
+    pi = perm_from_lists(pre, hcv(p1))
+
+    def shift_then_pi(x):
+        return placeholder(x.key + shift) if is_placeholder(x) else pi(x)
+
+    w2, phi2, p2 = _subst(shift_then_pi if shift else pi, *right)
     phi2 = tuple(
         Global(c.p, c.reg, p1[c.reg - 1].hist + c.wrt)
         if isinstance(c, Global) and c.reg <= len(p1) else c
@@ -309,10 +319,8 @@ def lngc_results(tree: DerivationTree) -> dict:
         elif r in ("sum1", "sum2", "star"):
             res = subs[0]
         elif r == "cat":
-            res = _concat(subs[0], subs[1], C)
+            res = _concat(subs[0], subs[1], C, 0)
         elif r in ("bind=", "bind!="):
-            if len(subs[0][2]) != len(C) + 1:
-                raise ContextError("binder child post has wrong register count")
             res = _bind(node.scratch, subs[0], C, placeholder(next(counter)))
         else:
             raise ValueError("unknown rule %r" % r)
@@ -489,12 +497,6 @@ def _canon_outcome(word, conds, post):
     return _subst(lambda x: order.get(x, x), word, conds, post)
 
 
-def _shift_outcome(out, by):
-    if by == 0:
-        return out
-    return _subst(lambda x: placeholder(x.key + by) if is_placeholder(x) else x, *out)
-
-
 _OUTCOME_CAP = 200000
 
 
@@ -517,8 +519,7 @@ class _Evaluator:
             raise ResourceLimitError("schematic outcome set exceeds %d entries" % _OUTCOME_CAP)
 
     def compose(self, left, right, pre):
-        right = _shift_outcome(right, _nph(left))
-        return _canon_outcome(*_concat(left, right, pre))
+        return _canon_outcome(*_concat(left, right, pre, _nph(left)))
 
     def eval(self, e, pre, post, budget):
         key = (e, pre, post, budget)
@@ -589,9 +590,9 @@ class _Evaluator:
 
 def schematic_words_of(e, pre=(), post=(), maxlen=6):
     """All schematic words of the expression in-context, words <= maxlen."""
-    pre, post = tuple(pre), tuple(post)
-    _check_context(pre, post)
-    outs = _Evaluator().eval(e, pre, post, maxlen)
+    t = ContextTriple(pre, e, post)
+    _check_context(t.pre, t.post)
+    outs = _Evaluator().eval(e, t.pre, t.post, maxlen)
     return [SchematicWord(w, c) for w, c, _ in sorted(outs, key=lambda o: (len(o[0]), repr(o)))]
 
 
@@ -686,7 +687,7 @@ _RULE_NAMES = {
 def derivation_dump(e, star_bound=2, pre=(), post=()):
     """Linear proof-forest dump: one rule per line, with the evaluated
     schematic word and real post-context of every node."""
-    trees = ctxc_derive(ContextTriple(tuple(pre), e, tuple(post)), star_bound)
+    trees = ctxc_derive(ContextTriple(pre, e, post), star_bound)
     lines = []
     for idx, tree in enumerate(trees, 1):
         results = lngc_results(tree)

@@ -80,11 +80,11 @@ def _load_automaton(path):
 
 
 def cmd_check(args):
-    from .expr import check_wellformed, classify
+    from .expr import check_wellformed
 
     e = _load_expr(args.expr_file, _parse_letters(args.letters))
     rep = check_wellformed(e)
-    print("class: %s" % classify(e).value)
+    print("class: %s" % rep.nre_class.value)
     if rep.ok:
         print("well-formed" + ("" if rep.closed else " (open: %s)" % ", ".join(
             sorted("$" + n.key for n in rep.free))))

@@ -21,7 +21,7 @@ restarts from.
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
 from .errors import CompileError
 from .expr import Bind, Cat, ContextTriple, Lit, Nam, One, Star, Sum, Under, Zero, check_wellformed, render
-from .nominal import Chronicle, hcv
+from .nominal import hcv
 
 
 def _level(pre, n):
@@ -114,13 +114,9 @@ class _Builder:
 
 def compile_in_context(t: ContextTriple) -> Cda:
     """Build the automaton in-context for a context triple over an expression."""
-    post = tuple(t.post)
-    if not all(isinstance(c, Chronicle) for c in post) or len(set(hcv(post))) != len(post):
-        raise CompileError("post-context must be an extant chronicle")
-    pre = tuple(t.pre)
-    level = {n: i for i, n in enumerate(pre)}
+    level = {n: i for i, n in enumerate(t.pre)}
     b = _Builder()
-    init, finals = b.build(t.payload, pre, tuple(level.get(v, v) for v in hcv(post)))
+    init, finals = b.build(t.payload, t.pre, tuple(level.get(v, v) for v in hcv(t.post)))
     finals = set(finals)
     states = tuple(State(sid, regs, sid in finals) for sid, regs in b.states)
     return Cda(states, init, tuple(b.transitions))

@@ -21,8 +21,8 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import CompileError, ParseError
-from .nominal import Letter, Name, name, transpose
+from .errors import ContextError, ParseError
+from .nominal import Chronicle, Letter, Name, hcv, name
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,13 +93,25 @@ ZERO = Zero()
 
 @dataclass(frozen=True)
 class ContextTriple:
-    pre: tuple  # pairwise distinct names
+    """An expression in context ``C ‡ e ‡ E``. The pre-context C holds
+    pairwise distinct names, outermost first; the post-context E is an
+    extant chronicle: one Chronicle per name of C, with pairwise distinct
+    current values. Both are stored as tuples. This is the one place the
+    contract is checked; a context that breaks it raises ContextError."""
+
+    pre: tuple
     payload: object
-    post: tuple  # extant chronicle
+    post: tuple
 
     def __post_init__(self):
-        if len(set(self.pre)) != len(self.pre):
-            raise CompileError("pre-context is not repetition-free")
+        pre, post = tuple(self.pre), tuple(self.post)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "post", post)
+        if not all(isinstance(n, Name) for n in pre) or len(set(pre)) != len(pre):
+            raise ContextError("pre-context must hold pairwise distinct names: %r" % (list(pre),))
+        if (len(post) != len(pre) or not all(isinstance(c, Chronicle) for c in post)
+                or len(set(hcv(post))) != len(post)):
+            raise ContextError("post-context must be an extant chronicle, one per pre-context name: %r" % (post,))
 
 
 class NreClass(enum.Enum):
@@ -120,23 +132,15 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _parse_error(text, i, msg):
+    """A ParseError at character offset i, reported as (line, column)."""
+    return ParseError(msg, text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
+
+
 def _lex(text, alphabet):
-    """Tokens: (kind, value, line, col). Splits identifier runs by alphabet."""
+    """Tokens: (kind, value, offset). Splits identifier runs by alphabet."""
     toks = []
     pos = 0
-    lineno, line_start, scanned = 1, 0, 0
-
-    def linecol(i):
-        # Positions are asked for in increasing order, so each newline is
-        # counted once and lexing stays linear in the text.
-        nonlocal lineno, line_start, scanned
-        newlines = text.count("\n", scanned, i)
-        if newlines:
-            lineno += newlines
-            line_start = text.rfind("\n", scanned, i) + 1
-        scanned = i
-        return lineno, i - line_start + 1
-
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
@@ -144,40 +148,39 @@ def _lex(text, alphabet):
             if not rest.strip():
                 break
             bad = pos + len(rest) - len(rest.lstrip())
-            line, col = linecol(bad)
-            raise ParseError("unexpected character %r" % text[bad], line, col)
-        line, col = linecol(m.start(m.lastgroup))
+            raise _parse_error(text, bad, "unexpected character %r" % text[bad])
+        at = m.start(m.lastgroup)
         val = m.group(m.lastgroup)
         kind = m.lastgroup
         if kind == "ident":
-            for part in _split_letters(val, alphabet, line, col):
-                toks.append(("letter", part, line, col))
+            for part in _split_letters(val, alphabet, text, at):
+                toks.append(("letter", part, at))
         elif kind == "name":
-            toks.append(("name", val[1:], line, col))
+            toks.append(("name", val[1:], at))
         elif kind == "close":
-            toks.append(("close", val[2:], line, col))
+            toks.append(("close", val[2:], at))
         elif kind == "under":
-            toks.append(("_", val, line, col))
+            toks.append(("_", val, at))
         else:
-            toks.append((val, val, line, col))
+            toks.append((val, val, at))
         pos = m.end()
-    line, col = linecol(len(text))
-    toks.append(("eof", "", line, col))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
-def _split_letters(ident, alphabet, line, col):
+def _split_letters(ident, alphabet, text, at):
     if ident in alphabet:
         return [ident]
     if all(ch in alphabet for ch in ident):
         return list(ident)
-    raise ParseError("letter %r not in alphabet" % ident, line, col)
+    raise _parse_error(text, at, "letter %r not in alphabet" % ident)
 
 
 # ---------------------------------------------------------------- parsing
 
 class _Parser:
-    def __init__(self, toks):
+    def __init__(self, text, toks):
+        self.text = text
         self.toks = toks
         self.i = 0
 
@@ -187,7 +190,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.toks[self.i]
         if kind is not None and tok[0] != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok[1] or "end of input"), tok[2], tok[3])
+            raise _parse_error(self.text, tok[2], "expected %s, found %r" % (kind, tok[1] or "end of input"))
         self.i += 1
         return tok
 
@@ -212,7 +215,7 @@ class _Parser:
         return e
 
     def atom(self):
-        kind, val, line, col = self.peek()
+        kind, val, at = self.peek()
         if kind == "1":
             self.take()
             return ONE
@@ -243,13 +246,13 @@ class _Parser:
                 return Bind(bound, body, name(self.take()[1]))
             self.take(">")
             return Bind(bound, body, bound)
-        raise ParseError("unexpected %r" % (val or "end of input"), line, col)
+        raise _parse_error(self.text, at, "unexpected %r" % (val or "end of input"))
 
 
 def parse(text, alphabet=()):
     """Parse expression text against a declared alphabet of letters."""
     alpha = {a.sym if isinstance(a, Letter) else a for a in alphabet}
-    p = _Parser(_lex(text, alpha))
+    p = _Parser(text, _lex(text, alpha))
     e = p.expr()
     p.take("eof")
     return e
@@ -299,53 +302,6 @@ def render(e):
 
 # ---------------------------------------------------------------- analysis
 
-def _walk(e):
-    yield e
-    if isinstance(e, (Sum, Cat)):
-        yield from _walk(e.l)
-        yield from _walk(e.r)
-    elif isinstance(e, Star):
-        yield from _walk(e.e)
-    elif isinstance(e, Bind):
-        yield from _walk(e.body)
-
-
-def classify(e):
-    """Least grammar class containing e."""
-    has_under = any(isinstance(sub, Under) for sub in _walk(e))
-    has_perm = any(isinstance(sub, Bind) and sub.close is not sub.n for sub in _walk(e))
-    if has_under and has_perm:
-        return NreClass.UP
-    if has_under:
-        return NreClass.U
-    if has_perm:
-        return NreClass.P
-    return NreClass.B
-
-
-def free_names(e):
-    """Names with an occurrence outside every binder of that name.
-
-    The close name of ``<$n.e>$m`` counts as a use of m resolved outside
-    the binder.
-    """
-    def go(e, bound):
-        if isinstance(e, Nam) or isinstance(e, Under):
-            return frozenset() if e.n in bound else frozenset((e.n,))
-        if isinstance(e, (Sum, Cat)):
-            return go(e.l, bound) | go(e.r, bound)
-        if isinstance(e, Star):
-            return go(e.e, bound)
-        if isinstance(e, Bind):
-            out = go(e.body, bound | {e.n})
-            if e.close is not e.n and e.close not in bound:
-                out |= {e.close}
-            return out
-        return frozenset()
-
-    return go(e, frozenset())
-
-
 @dataclass(frozen=True, slots=True)
 class Issue:
     kind: str
@@ -361,6 +317,7 @@ class WfReport:
     ok: bool
     issues: tuple
     free: frozenset
+    nre_class: NreClass
 
     @property
     def closed(self):
@@ -368,16 +325,27 @@ class WfReport:
 
 
 def check_wellformed(e):
-    """Scope condition, underline locality, and the free-name set.
+    """The package's one scope walk: scope condition and underline locality
+    issues, the free-name set, and the least grammar class, in one pass.
 
-    Closedness itself is not a violation (open expressions are legal in
-    contexts); callers that need a closed expression check ``report.closed``.
+    A free name has an occurrence outside every binder of that name; the
+    close name of ``<$n.e>$m`` counts as a use of m resolved outside the
+    binder. Closedness itself is not a violation (open expressions are legal
+    in contexts); callers that need a closed expression check
+    ``report.closed``.
     """
     issues = []
+    free = set()
+    kinds = set()  # Under once an underline occurs, Bind once a permuting binder does
 
     def go(e, bound):
-        if isinstance(e, Under):
+        if isinstance(e, Nam):
             if e.n not in bound:
+                free.add(e.n)
+        elif isinstance(e, Under):
+            kinds.add(Under)
+            if e.n not in bound:
+                free.add(e.n)
                 issues.append(Issue("underline-locality", render(e), "_$%s has no enclosing binder of $%s" % (e.n.key, e.n.key)))
         elif isinstance(e, (Sum, Cat)):
             go(e.l, bound)
@@ -385,12 +353,27 @@ def check_wellformed(e):
         elif isinstance(e, Star):
             go(e.e, bound)
         elif isinstance(e, Bind):
-            if e.close is not e.n and e.close not in bound:
-                issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
+            if e.close is not e.n:
+                kinds.add(Bind)
+                if e.close not in bound:
+                    free.add(e.close)
+                    issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
             go(e.body, bound | {e.n})
 
     go(e, frozenset())
-    return WfReport(not issues, tuple(issues), free_names(e))
+    under, perm = Under in kinds, Bind in kinds
+    cls = NreClass.UP if under and perm else NreClass.U if under else NreClass.P if perm else NreClass.B
+    return WfReport(not issues, tuple(issues), frozenset(free), cls)
+
+
+def classify(e):
+    """Least grammar class containing e."""
+    return check_wellformed(e).nre_class
+
+
+def free_names(e):
+    """Names with an occurrence outside every binder of that name."""
+    return check_wellformed(e).free
 
 
 def apply_perm_expr(p, e):
@@ -441,33 +424,6 @@ def _alpha_canon(e, env):
 def alpha_eq(e1, e2):
     """Equality up to consistent renaming of bound names."""
     return _alpha_canon(e1, []) == _alpha_canon(e2, [])
-
-
-def binder_depth(e):
-    if isinstance(e, (Sum, Cat)):
-        return max(binder_depth(e.l), binder_depth(e.r))
-    if isinstance(e, Star):
-        return binder_depth(e.e)
-    if isinstance(e, Bind):
-        return 1 + binder_depth(e.body)
-    return 0
-
-
-def rename_bound(e, old, new):
-    """Consistently rename one bound name (helper for alpha variants)."""
-    if isinstance(e, Bind) and e.n is old:
-        body = apply_perm_expr(transpose(old, new), e.body)
-        close = new if e.close is old else e.close
-        return Bind(new, body, close)
-    if isinstance(e, Sum):
-        return Sum(rename_bound(e.l, old, new), rename_bound(e.r, old, new))
-    if isinstance(e, Cat):
-        return Cat(rename_bound(e.l, old, new), rename_bound(e.r, old, new))
-    if isinstance(e, Star):
-        return Star(rename_bound(e.e, old, new))
-    if isinstance(e, Bind):
-        return Bind(e.n, rename_bound(e.body, old, new), e.close)
-    return e
 
 
 def classify_first_degree(e):

@@ -182,11 +182,6 @@ def perm_from_lists(ns, ms):
     return Perm(mapping)
 
 
-def apply_perm_word(p, w):
-    """Pointwise action on a word: names mapped, letters fixed."""
-    return tuple(p(t) if isinstance(t, Name) else t for t in w)
-
-
 def check_bounds(pool, maxlen):
     """Reject a pool of anything but distinct names, and a negative length
     bound."""
@@ -261,24 +256,6 @@ def chronicle(names, cv):
 def hcv(extant):
     """List of current values, register order."""
     return tuple(c.cv for c in extant)
-
-
-def check_extant(extant):
-    """hcv must be pairwise distinct."""
-    vals = hcv(extant)
-    if len(set(vals)) != len(vals):
-        raise ValueError("current values not pairwise distinct: %r" % (vals,))
-    return extant
-
-
-def extant_extend(extant, names):
-    """E@t, element-wise."""
-    return tuple(c.extend(names) for c in extant)
-
-
-def extant_delete(extant, names):
-    """E∖t, element-wise."""
-    return tuple(c.delete(names) for c in extant)
 
 
 def natural_chronicle(pre):

@@ -41,11 +41,12 @@ from nomre.corpus import (
     lonet_predicate,
     lses_predicate,
 )
-from nomre.expr import NreClass, alpha_eq, classify, parse, render, rename_bound
+from nomre.expr import NreClass, alpha_eq, classify, parse, render
 from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, apply_perm_word, name, perm_from_lists
+from nomre.nominal import Letter, name, perm_from_lists
 from nomre.oracle import equal_mod_renaming
+from nre_helpers import apply_perm_word, rename_bound
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

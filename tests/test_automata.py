@@ -503,7 +503,8 @@ def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_
 
 
 def test_permutation_closure_of_acceptance(rng, pool3, corpus_exprs):
-    from nomre.nominal import apply_perm_word, perm_from_lists
+    from nomre.nominal import perm_from_lists
+    from nre_helpers import apply_perm_word
 
     extra = [name("f%d" % i) for i in range(3)]
     universe = list(pool3) + extra

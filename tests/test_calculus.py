@@ -91,7 +91,7 @@ def test_ctxc_star_unfolding_counts():
     with pytest.raises(ValidationError, match="star_bound"):
         ctxc_derive(t, -1)
     with pytest.raises(ValidationError, match="star_bound"):
-        derivation_dump(Star(Under(n)), star_bound=-1, pre=(n,))
+        derivation_dump(Star(Under(n)), star_bound=-1, pre=(n,), post=natural_chronicle((n,)))
 
 
 def test_ctxc_forest_cap():
@@ -240,6 +240,39 @@ def test_context_must_not_hold_the_calculus_name_supplies():
             derivation_dump(e, pre=pre, post=post)
 
 
+_N, _M = name("n"), name("m")
+
+
+@pytest.mark.parametrize("text, pre, post", [
+    ("_$n", (_N, _N), natural_chronicle((_N, _N))),  # repeated pre-context name
+    ("<$x.$x>", (_N,), (chronicle([_N], _N), chronicle([_M], _M))),  # post longer than pre
+    ("<$x.$x>", (_N, _M), (chronicle([_N], _N),)),  # post shorter than pre
+    ("$n", (_N,), ((_N,),)),  # post of tuples, not chronicles
+    ("1", ("n",), (chronicle(["n"], "n"),)),  # pre of strings, not names
+], ids=["repeated-pre", "long-post", "short-post", "not-chronicles", "not-names"])
+def test_every_entry_point_rejects_a_malformed_context(text, pre, post):
+    e = P(text)
+    with pytest.raises(ContextError):
+        schematic_words_of(e, pre=pre, post=post, maxlen=2)
+    with pytest.raises(ContextError):
+        ctxc_derive(ContextTriple(pre, e, post), 2)
+    with pytest.raises(ContextError):
+        derivation_dump(e, pre=pre, post=post)
+    with pytest.raises(ContextError):
+        compile_in_context(ContextTriple(pre, e, post))
+
+
+@pytest.mark.parametrize("text", ["$z", "_$z"])
+def test_a_read_outside_the_context_is_rejected(text):
+    e, pre, post = P(text), (_N,), natural_chronicle((_N,))
+    with pytest.raises(ContextError, match=r"free name \$z"):
+        schematic_words_of(e, pre=pre, post=post, maxlen=2)
+    with pytest.raises(ContextError, match=r"free name \$z"):
+        ctxc_derive(ContextTriple(pre, e, post), 2)
+    with pytest.raises(CompileError, match=r"free name \$z"):
+        compile_in_context(ContextTriple(pre, e, post))
+
+
 def test_close_name_must_be_a_current_value_in_both_semantics():
     m, z = name("m"), name("z")
     t = ContextTriple((m,), P("<$n.$n>$m"), (Chronicle((m, z), z),))
@@ -381,7 +414,8 @@ def test_instances_give_one_word_per_orbit(pool3):
 
 
 def test_permutation_closure_of_language(rng, pool3, corpus_exprs):
-    from nomre.nominal import apply_perm_word, perm_from_lists
+    from nomre.nominal import perm_from_lists
+    from nre_helpers import apply_perm_word
 
     extra = [name("g%d" % i) for i in range(3)]
     universe = list(pool3) + extra

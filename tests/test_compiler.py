@@ -17,7 +17,7 @@ from nomre.automata import (
 from nomre.calculus import language_enumerate
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, default_pool, lses_predicate
-from nomre.errors import CompileError
+from nomre.errors import CompileError, ContextError
 from nomre.expr import Bind, Cat, Nam, NreClass, Star, Sum, Under, classify, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import Letter, chronicle, name, natural_chronicle, sys_name
@@ -60,7 +60,7 @@ def test_compile_in_context_name_read():
     ((f, lab, to),) = a.transitions
     assert lab.kind == "reg" and lab.index == 1
     # an extant post-context has pairwise distinct current values
-    with pytest.raises(CompileError, match="extant"):
+    with pytest.raises(ContextError, match="extant"):
         compile_in_context(ContextTriple((na,), Nam(na), (chronicle([na], na),) * 2))
 
 

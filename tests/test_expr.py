@@ -17,17 +17,16 @@ from nomre.expr import (
     Under,
     alpha_eq,
     apply_perm_expr,
-    binder_depth,
     check_wellformed,
     classify,
     classify_first_degree,
     free_names,
     parse,
     render,
-    rename_bound,
 )
 from nomre.genexpr import random_nre
 from nomre.nominal import IDENTITY, Letter, name, transpose
+from nre_helpers import binder_depth, rename_bound
 
 
 def P(text):
@@ -42,6 +41,8 @@ def test_parse_session_expression():
 
 def test_parse_one():
     assert P("1") is ONE or P("1") == ONE
+    # surrounding whitespace, trailing included, is skipped
+    assert P("  \n a b   \n\t") == P("a b")
 
 
 def test_parse_successive_distinct():
@@ -68,6 +69,8 @@ def test_parse_errors():
         ("a b\n\n  <$x.$x> xyz", 3, 11, "letter 'xyz' not in alphabet"),
         ("a\n  <$x\n   $x>", 3, 4, "expected ., found 'x'"),
         ("a (b\n  +\n   *)", 3, 4, "unexpected '*'"),
+        ("a (b\n  ", 2, 3, "expected ), found 'end of input'"),
+        ("a b\n<$x. $x", 2, 8, "expected >, found 'end of input'"),
     ],
 )
 def test_parse_error_positions(text, line, col, msg):

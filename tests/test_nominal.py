@@ -8,11 +8,7 @@ from nomre.nominal import (
     Chronicle,
     IDENTITY,
     Letter,
-    apply_perm_word,
     chronicle,
-    check_extant,
-    extant_delete,
-    extant_extend,
     hcv,
     name,
     natural_chronicle,
@@ -20,7 +16,9 @@ from nomre.nominal import (
     sys_name,
     transpose,
 )
+from nomre.expr import ONE, ContextTriple
 from nomre.oracle import canonical_fresh
+from nre_helpers import apply_perm_word
 
 n, m, k = name("n"), name("m"), name("k")
 a, b, c = name("a"), name("b"), name("c")
@@ -108,10 +106,6 @@ def test_chronicle_extend():
     s2 = chronicle([a, b], a).extend([c])
     assert s2.hist == (a, b, c)
     assert s2.cv is a
-    ext = (chronicle([a], a), chronicle([b], b))
-    ext2 = extant_extend(ext, [n])
-    assert [x.hist for x in ext2] == [(a, n), (b, n)]
-    assert hcv(ext2) == (a, b)
 
 
 def test_chronicle_delete():
@@ -122,8 +116,6 @@ def test_chronicle_delete():
     assert t.delete([]) is t
     with pytest.raises(ValueError):
         chronicle([a], a).delete([a])
-    with pytest.raises(ValueError):
-        extant_delete((chronicle([a, b], b),), [b])
 
 
 def test_chronicle_cv_must_be_in_history():
@@ -162,12 +154,8 @@ def test_natural_chronicle_suffixes():
     nat = natural_chronicle((a, b, c))
     assert [x.hist for x in nat] == [(a, b, c), (b, c), (c,)]
     assert hcv(nat) == (a, b, c)
-    check_extant(nat)
-
-
-def test_check_extant_rejects_duplicate_current_values():
-    with pytest.raises(ValueError):
-        check_extant((chronicle([a], a), chronicle([b, a], a)))
+    # the natural chronicle is extant: it fits its pre-context
+    assert ContextTriple((a, b, c), ONE, nat).post == nat
 
 
 def test_name_ordering_is_total_and_stable():
