@@ -18,7 +18,7 @@ import importlib
 _EXPORTS = {
     "automata": (
         "Cda", "CdaClass", "Label", "State", "accept", "class_of", "enumerate_words",
-        "equiv_bounded", "from_json", "to_dot", "to_json", "validate",
+        "equiv_bounded", "from_json", "to_dot", "to_json",
     ),
     "calculus": (
         "DerivationTree", "Global", "Local", "Neq", "SchematicWord", "ctxc_derive",

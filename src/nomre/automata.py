@@ -21,7 +21,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter, _orbit_words, check_bounds
+from .nominal import Letter, _orbit_words, check_bounds, check_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,13 +71,79 @@ class State:
     final: bool = False
 
 
+# kind -> change of layer
+_DELTA = {"eps": 0, "star": 1, "letter": 0, "reg": 0, "under": 0, "close": -1}
+
+
 @dataclass(frozen=True)
 class Cda:
-    """A chronicle deallocating automaton. Immutable once built."""
+    """A chronicle deallocating automaton, immutable once built.
+
+    Construction raises ValidationError unless ``*`` enters the next layer,
+    ``close i`` the one below, register indices lie within their source
+    layer and every final state is on the initial state's layer. Only a
+    closed automaton, whose initial state is on layer 0, runs or extracts.
+    """
 
     states: tuple
     initial: str
     transitions: tuple  # (from_id, Label, to_id)
+
+    def __post_init__(self):
+        states, transitions = tuple(self.states), tuple(self.transitions)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transitions", transitions)
+        bad = []
+        layer = {}
+        finals = []
+        for s in states:
+            if type(s) is not State or type(s.id) is not str or type(s.regs) is not int \
+                    or type(s.final) is not bool:
+                bad.append("malformed state %r" % (s,))
+                continue
+            if s.id in layer:
+                bad.append("duplicate state id %r" % s.id)
+            if s.regs < 0:
+                bad.append("negative register count at %s" % s.id)
+            if s.final:
+                finals.append(s)
+            layer[s.id] = s.regs
+        k = layer.get(self.initial) if type(self.initial) is str else None
+        if k is None:
+            bad.append("initial state %r missing" % (self.initial,))
+        else:
+            bad.extend("final state %s is not on the initial layer %d" % (s.id, k)
+                       for s in finals if s.regs != k)
+        for tr in transitions:
+            if type(tr) is not tuple or len(tr) != 3 or type(tr[0]) is not str or type(tr[2]) is not str:
+                bad.append("malformed transition %r" % (tr,))
+                continue
+            f, lab, t = tr
+            kind = lab.kind if type(lab) is Label else None
+            if kind == "eps" or kind == "star":
+                shaped = lab.letter is None and lab.index is None
+            elif kind == "letter":
+                shaped = type(lab.letter) is Letter and lab.index is None
+            elif kind == "reg" or kind == "under" or kind == "close":
+                shaped = lab.letter is None and type(lab.index) is int
+            else:
+                shaped = False
+            if not shaped:
+                if type(lab) is Label:
+                    lab = (kind, lab.letter, lab.index)
+                bad.append("malformed label %r from %s" % (lab, f))
+                continue
+            kf, kt = layer.get(f), layer.get(t)
+            if kf is None or kt is None:
+                bad.append("dangling endpoint [%s -%r-> %s]" % tr)
+                continue
+            want = kf + _DELTA[kind]
+            if kt != want:
+                bad.append("|q'| must be %d, is %d [%s -%r-> %s]" % (want, kt, f, lab, t))
+            if lab.index is not None and not 1 <= lab.index <= kf:
+                bad.append("register index out of range [%s -%r-> %s]" % tr)
+        if bad:
+            raise ValidationError("invalid automaton: %s" % "; ".join(bad))
 
     def state_map(self):
         return {s.id: s for s in self.states}
@@ -104,73 +170,12 @@ class ClassInfo:
     tag: CdaClass
 
 
-@dataclass(frozen=True)
-class Violation:
-    msg: str
-    transition: tuple | None = None
-
-    def __str__(self):
-        if self.transition is None:
-            return self.msg
-        f, l, t = self.transition
-        return "%s [%s -%r-> %s]" % (self.msg, f, l, t)
-
-
-@dataclass(frozen=True)
-class Report:
-    violations: tuple
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-_DELTA = {"star": 1, "close": -1, "eps": 0, "letter": 0, "reg": 0, "under": 0}
-
-
-def validate(a):
-    """Structural contract: register discipline and index ranges."""
-    out = []
-    sm = a.state_map()
-    if len(sm) != len(a.states):
-        out.append(Violation("duplicate state ids"))
-    if a.initial not in sm:
-        out.append(Violation("initial state %r missing" % a.initial))
-    elif sm[a.initial].regs != 0:
-        out.append(Violation("|q| = 0 required for the initial state"))
-    for s in a.states:
-        if s.final and s.regs != 0:
-            out.append(Violation("|q| = 0 required for final state %s" % s.id))
-        if s.regs < 0:
-            out.append(Violation("negative register count at %s" % s.id))
-    for tr in a.transitions:
-        f, lab, t = tr
-        if f not in sm or t not in sm:
-            out.append(Violation("dangling endpoint", tr))
-            continue
-        want = sm[f].regs + _DELTA[lab.kind]
-        if sm[t].regs != want:
-            out.append(Violation("|q'| must be %d, is %d" % (want, sm[t].regs), tr))
-        if lab.kind in ("reg", "under", "close"):
-            if not 1 <= lab.index <= sm[f].regs:
-                out.append(Violation("register index out of range", tr))
-    return Report(tuple(out))
-
-
-def require_valid(a):
-    """Raise ValidationError listing the violations of an invalid automaton."""
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton: %s" % "; ".join(map(str, rep.violations)))
-
-
 def class_of(a):
-    """Least automaton class of a valid automaton.
+    """Least automaton class of an automaton.
 
     Chronicle automata never close below the top register; deallocating
     automata have no underlined reads at all.
     """
-    require_valid(a)
     sm = a.state_map()
     ca = all(l.index == sm[f].regs for f, l, _ in a.transitions if l.kind == "close")
     da = not any(l.kind == "under" for _, l, _ in a.transitions)
@@ -213,7 +218,8 @@ class _Engine:
     """
 
     def __init__(self, a):
-        require_valid(a)
+        if a.state_map()[a.initial].regs:
+            raise ValidationError("only a closed automaton runs: the initial state is not on layer 0")
         self.finals = a.finals()
         self.cap = 20 * max(1, len(a.states)) * (a.max_regs() + 1)
         self.by_state = {s.id: {"eps": [], "star": [], "close": [], "letter": {}, "reg": {}, "under": {}} for s in a.states}
@@ -296,6 +302,7 @@ class _Engine:
 
 def accept(a, w):
     """Whether some run consumes all of w and ends final with no registers."""
+    w = check_word(w)
     eng = _Engine(a)
     macro = eng.closure([(a.initial, ())])
     for token in w:
@@ -405,15 +412,18 @@ def cda_star(a):
 
 # ----------------------------------------------------------- serialization
 
-def to_json(a):
-    doc = {
+def _document(a):
+    return {
         "states": [{"id": s.id, "regs": s.regs, "final": s.final} for s in a.states],
         "initial": a.initial,
         "transitions": [
             {"from": f, "label": _label_doc(l), "to": t} for f, l, t in a.transitions
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def to_json(a):
+    return json.dumps(_document(a), indent=2, sort_keys=True)
 
 
 def _label_doc(l):
@@ -425,46 +435,36 @@ def _label_doc(l):
     return d
 
 
-def _typed(v, t, field):
-    """v itself when its JSON type is t; a boolean is no integer."""
-    if type(v) is not t:
-        raise SchemaError("%s must be of type %s, got %r" % (field, t.__name__, v))
-    return v
+def _label(d):
+    if d["kind"] != "letter":
+        return Label(d["kind"], index=d.get("index"))
+    if type(d["letter"]) is not str:
+        raise SchemaError("a letter must be spelled as a string, got %r" % (d["letter"],))
+    return lab_letter(d["letter"])
 
 
 def from_json(text):
+    """The automaton that a to_json document describes. A state may omit
+    "final", which defaults to false; any other missing or extra key, and
+    any value of the wrong type, is a SchemaError."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError("not valid JSON: %s" % e) from e
     try:
-        states = tuple(
-            State(_typed(s["id"], str, "id"), _typed(s["regs"], int, "regs"),
-                  _typed(s.get("final", False), bool, "final"))
-            for s in doc["states"]
-        )
-        initial = _typed(doc["initial"], str, "initial")
-        trs = []
-        for t in doc["transitions"]:
-            lab = t["label"]
-            kind = lab["kind"]
-            if kind == "eps":
-                l = EPS
-            elif kind == "star":
-                l = STAR
-            elif kind == "letter":
-                l = lab_letter(_typed(lab["letter"], str, "letter"))
-            elif kind in ("reg", "under", "close"):
-                l = Label(kind, index=_typed(lab["index"], int, "index"))
-            else:
-                raise SchemaError("unknown label kind %r" % kind)
-            trs.append((_typed(t["from"], str, "from"), l, _typed(t["to"], str, "to")))
+        states = [State(s["id"], s["regs"], s.get("final", False)) for s in doc["states"]]
+        trs = [(t["from"], _label(t["label"]), t["to"]) for t in doc["transitions"]]
+        initial = doc["initial"]
     except (KeyError, TypeError) as e:
         raise SchemaError("malformed automaton document: %s" % e) from e
-    a = Cda(states, initial, tuple(trs))
-    rep = validate(a)
-    if not rep.ok:
-        raise SchemaError("document violates automaton contract: %s" % "; ".join(map(str, rep.violations)))
+    try:
+        a = Cda(states, initial, trs)
+    except ValidationError as e:
+        raise SchemaError("document violates automaton contract: %s" % e) from e
+    for s in doc["states"]:
+        s.setdefault("final", False)
+    if _document(a) != doc:
+        raise SchemaError("malformed automaton document: it holds keys or values that to_json does not write")
     return a
 
 

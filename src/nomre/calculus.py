@@ -46,6 +46,7 @@ from .nominal import (
     Letter,
     Name,
     check_bounds,
+    check_word,
     hcv,
     is_placeholder,
     _orbit_words,
@@ -607,7 +608,7 @@ def _require_closed(e):
 def language_member(e, w) -> bool:
     """Word membership in the language of a closed expression."""
     _require_closed(e)
-    w = tuple(w)
+    w = check_word(w)
     for sw in schematic_words_of(e, maxlen=len(w)):
         if schematic_member(sw, w):
             return True

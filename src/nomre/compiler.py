@@ -118,8 +118,8 @@ def compile_in_context(t: ContextTriple) -> Cda:
     b = _Builder()
     init, finals = b.build(t.payload, t.pre, tuple(level.get(v, v) for v in hcv(t.post)))
     finals = set(finals)
-    states = tuple(State(sid, regs, sid in finals) for sid, regs in b.states)
-    return Cda(states, init, tuple(b.transitions))
+    states = [State(sid, regs, sid in finals) for sid, regs in b.states]
+    return Cda(states, init, b.transitions)
 
 
 def compile_expr(e) -> Cda:

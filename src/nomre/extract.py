@@ -1,6 +1,6 @@
 """From automata back to expressions: layered elimination and determinization.
 
-Ignoring ``*`` and close transitions, each layer of a valid automaton is a
+Ignoring ``*`` and close transitions, each layer of a closed automaton is a
 classical finite automaton whose atoms are letters and register reads.
 Extraction folds layers top-down: every excursion that enters layer k+1 by
 ``*`` and leaves by ``close i`` contributes a generalized edge labelled by
@@ -14,7 +14,7 @@ the choice immaterial.
 
 from dataclasses import dataclass
 
-from .automata import Cda, State, require_valid, validate
+from .automata import Cda, State
 from .errors import ValidationError
 from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO, Zero
 from .nominal import name
@@ -35,8 +35,9 @@ class LayeredView:
 
 
 def layered_view(a: Cda) -> LayeredView:
-    require_valid(a)
     sm = a.state_map()
+    if sm[a.initial].regs:
+        raise ValidationError("only a closed automaton extracts: the initial state is not on layer 0")
     layers = {}
     for s in a.states:
         layers.setdefault(s.regs, []).append(s.id)
@@ -138,23 +139,20 @@ def _eliminate(nodes, edges, sources, sinks):
 
 
 def _atom(lab):
+    """The expression of an eps, letter, reg or under label."""
     if lab.kind == "eps":
         return ONE
     if lab.kind == "letter":
         return Lit(lab.letter)
     if lab.kind == "reg":
         return Nam(canonical_register_name(lab.index))
-    if lab.kind == "under":
-        return Under(canonical_register_name(lab.index))
-    raise ValueError(lab)
+    return Under(canonical_register_name(lab.index))
 
 
 def extract_expr(a: Cda):
     """An expression with the same language as the automaton (canonical names)."""
     view = layered_view(a)
     sm = a.state_map()
-    if not view.layers:
-        return ZERO
     top = max(view.layers)
     gen = {k: [(f, _atom(lab), t) for f, lab, t in view.intra.get(k, ())] for k in range(top + 1)}
     for k in range(top, 0, -1):
@@ -184,7 +182,6 @@ def determinize_layers(a: Cda) -> Cda:
     Classical closure/powerset inside each layer; ``*`` and close edges are
     lifted subset-wise, one edge per label.
     """
-    require_valid(a)
     sm = a.state_map()
     finals = a.finals()
     eps_out = {}
@@ -222,14 +219,5 @@ def determinize_layers(a: Cda) -> Cda:
                 order.append(nxt)
                 work.append(nxt)
             trs.append((ids[cur], lab, ids[nxt]))
-    states = tuple(
-        State(ids[sub], sm[next(iter(sub))].regs, bool(sub & finals)) for sub in order
-    )
-    out = Cda(states, "D0", tuple(trs))
-    check = validate(out)
-    if not check.ok:
-        raise ValidationError(
-            "determinization produced an invalid automaton: %s"
-            % "; ".join(map(str, check.violations))
-        )
-    return out
+    states = [State(ids[sub], sm[next(iter(sub))].regs, bool(sub & finals)) for sub in order]
+    return Cda(states, "D0", trs)

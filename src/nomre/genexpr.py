@@ -6,7 +6,7 @@ Random instance so failures replay.
 
 import random
 
-from .expr import Bind, Cat, Lit, NreClass, ONE, Star, Sum, Under, ZERO, Nam, classify, check_wellformed
+from .expr import Bind, Cat, Lit, NreClass, ONE, Star, Sum, Under, ZERO, Nam, check_wellformed
 from .nominal import Letter, name
 
 _BOUND_NAMES = [name(x) for x in ("x", "y", "z", "w")]
@@ -15,6 +15,11 @@ _BOUND_NAMES = [name(x) for x in ("x", "y", "z", "w")]
 def random_nre(rng, letters=("a", "b"), max_depth=3, size=8,
                allow_under=True, allow_perm=True, allow_zero=True):
     """One closed well-formed expression with binder nesting <= max_depth."""
+    return _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero)[0]
+
+
+def _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero):
+    """A random_nre expression and its grammar class."""
     letters = [Letter(x) for x in letters]
 
     def go(depth, env, budget):
@@ -55,7 +60,7 @@ def random_nre(rng, letters=("a", "b"), max_depth=3, size=8,
     e = go(0, [], size)
     rep = check_wellformed(e)
     assert rep.ok and rep.closed
-    return e
+    return e, rep.nre_class
 
 
 def corpus_of_classes(seed, total=200, letters=("a", "b"), max_depth=3, allow_zero=True):
@@ -66,12 +71,9 @@ def corpus_of_classes(seed, total=200, letters=("a", "b"), max_depth=3, allow_ze
     while len(out) < total or min(counts.values()) < 8:
         modes = [(True, True), (True, False), (False, True), (False, False)]
         allow_under, allow_perm = modes[len(out) % 4]
-        e = random_nre(rng, letters, max_depth=max_depth,
-                       size=rng.randint(3, 9),
-                       allow_under=allow_under, allow_perm=allow_perm,
-                       allow_zero=allow_zero)
+        e, cls = _draw(rng, letters, max_depth, rng.randint(3, 9), allow_under, allow_perm, allow_zero)
         out.append(e)
-        counts[classify(e)] += 1
+        counts[cls] += 1
         if len(out) > total * 40:
             raise RuntimeError("generator failed to cover all classes")
     return out

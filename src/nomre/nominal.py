@@ -183,15 +183,24 @@ def perm_from_lists(ns, ms):
 
 
 def check_bounds(pool, maxlen):
-    """Reject a pool of anything but distinct names, and a negative length
-    bound."""
+    """Reject a pool of anything but distinct names, and a length bound that
+    is not an int >= 0 (a bool is no int)."""
     for n in pool:
         if not isinstance(n, Name):
             raise ValidationError("pool members must be names, got %r" % (n,))
     if len(set(pool)) != len(pool):
         raise ValidationError("pool must be repetition-free")
-    if maxlen < 0:
-        raise ValidationError("maxlen must be >= 0")
+    if type(maxlen) is not int or maxlen < 0:
+        raise ValidationError("maxlen must be an int >= 0, got %r" % (maxlen,))
+
+
+def check_word(w):
+    """w as a tuple of letters and names; any other token is a ValidationError."""
+    w = tuple(w)
+    for t in w:
+        if not isinstance(t, (Letter, Name)):
+            raise ValidationError("word tokens must be letters or names, got %r" % (t,))
+    return w
 
 
 def _orbit_words(reps, pool):

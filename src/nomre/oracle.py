@@ -17,7 +17,6 @@ renaming of placeholders. No module of the package imports this one.
 from dataclasses import dataclass
 import itertools
 
-from .automata import validate
 from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schematic_normalize
 from .calculus import _cond_ok, _require_closed
 from .errors import ResourceLimitError, ValidationError
@@ -113,9 +112,6 @@ def step(a, c, w):
 
 def accept_reference(a, w):
     """accept() recomputed naively on top of step(); test oracle only."""
-    rep = validate(a)
-    if not rep.ok:
-        raise ValidationError("invalid automaton")
     w = tuple(w)
     finals = a.finals()
     seen = set()

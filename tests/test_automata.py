@@ -10,6 +10,7 @@ from nomre.automata import (
     Cda,
     CdaClass,
     EPS,
+    Label,
     STAR,
     State,
     _Engine,
@@ -27,11 +28,10 @@ from nomre.automata import (
     lab_under,
     to_dot,
     to_json,
-    validate,
     word_sort_key,
 )
-from nomre.calculus import language_enumerate
-from nomre.compiler import compile_expr
+from nomre.calculus import language_enumerate, language_member
+from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import (
     ALPHABET,
     LONET_TEXT,
@@ -42,9 +42,10 @@ from nomre.corpus import (
     lses_automaton,
 )
 from nomre.errors import SchemaError, ValidationError
-from nomre.expr import parse, render
+from nomre.expr import Bind, Cat, Nam, parse, render
+from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, chronicle, name, placeholder, sys_name
+from nomre.nominal import Letter, chronicle, name, natural_chronicle, placeholder, sys_name
 from nomre.oracle import Configuration, accept_reference, enumerate_reference, step
 
 r1, r2, r3 = name("r1"), name("r2"), name("r3")
@@ -57,30 +58,66 @@ def P(text):
 
 
 def test_validate_trivial():
-    a = Cda((State("q0", 0),), "q0", ())
-    assert validate(a).ok
+    a = Cda([State("q0", 0)], "q0", [])
+    assert a.states == (State("q0", 0),) and a.transitions == ()
+    # states and transitions are stored as tuples, so an automaton hashes
+    assert hash(a) == hash(Cda((State("q0", 0),), "q0", ()))
 
 
 def test_validate_star_delta():
-    a = Cda((State("q0", 0), State("q1", 0)), "q0", (("q0", STAR, "q1"),))
-    rep = validate(a)
-    assert not rep.ok
-    assert any("must be 1" in str(v) for v in rep.violations)
+    with pytest.raises(ValidationError, match="must be 1"):
+        Cda((State("q0", 0), State("q1", 0)), "q0", (("q0", STAR, "q1"),))
 
 
 def test_validate_final_regcount():
-    a = Cda((State("q0", 0), State("q1", 1, True)), "q0", (("q0", STAR, "q1"),))
-    rep = validate(a)
-    assert not rep.ok
+    with pytest.raises(ValidationError, match="final state q1"):
+        Cda((State("q0", 0), State("q1", 1, True)), "q0", (("q0", STAR, "q1"),))
 
 
 def test_validate_index_range():
-    a = Cda(
-        (State("q0", 0), State("q1", 1), State("q2", 1)),
-        "q0",
-        (("q0", STAR, "q1"), ("q1", lab_reg(2), "q2")),
-    )
-    assert not validate(a).ok
+    with pytest.raises(ValidationError, match="out of range"):
+        Cda(
+            (State("q0", 0), State("q1", 1), State("q2", 1)),
+            "q0",
+            (("q0", STAR, "q1"), ("q1", lab_reg(2), "q2")),
+        )
+
+
+_Q = (State("q0", 0), State("q1", 1))
+
+
+@pytest.mark.parametrize("states, initial, transitions", [
+    pytest.param(_Q[:1], "q0", [("q0", Label("warp"), "q0")], id="unknown kind"),
+    pytest.param(_Q[:1], "q0", [("q0", Label(None), "q0")], id="no kind"),
+    pytest.param(_Q[:1], "q0", [("q0", Label("reg"), "q0")], id="reg without index"),
+    pytest.param(_Q, "q0", [("q0", STAR, "q1"), ("q1", Label("close", index=True), "q0")],
+                 id="close with a bool index"),
+    pytest.param(_Q[:1], "q0", [("q0", Label("letter"), "q0")], id="letter without Letter"),
+    pytest.param(_Q[:1], "q0", [("q0", Label("letter", letter="a"), "q0")], id="letter spelled as a str"),
+    pytest.param(_Q[:1], "q0", [("q0", Label("eps", index=1), "q0")], id="eps with an index"),
+    pytest.param(_Q[:1], "q0", [("q0", EPS)], id="transition not a triple"),
+    pytest.param(_Q[:1], "q0", [["q0", EPS, "q0"]], id="transition a list"),
+    pytest.param((State(1, 0, True),), 1, (), id="state id 1"),
+    pytest.param((State("q0", True),), "q0", (), id="regs True"),
+    pytest.param((State("q0", 0, "no"),), "q0", (), id="final 'no'"),
+    pytest.param((State("q0", 0), State("q0", 0)), "q0", (), id="duplicate id"),
+    pytest.param((State("q0", -1),), "q0", (), id="negative regs"),
+    pytest.param(_Q[:1], "q9", (), id="initial missing"),
+    pytest.param(_Q[:1], "q0", [("q0", EPS, "q9")], id="dangling endpoint"),
+    pytest.param(("q0",), "q0", (), id="state not a State"),
+])
+def test_construction_rejects_malformed_pieces(states, initial, transitions):
+    with pytest.raises(ValidationError, match="invalid automaton"):
+        Cda(states, initial, transitions)
+
+
+def test_construction_lists_every_violation():
+    with pytest.raises(ValidationError) as err:
+        Cda((State("q0", 0), State("q0", 0), State("q1", 2, True)), "q0",
+            [("q0", Label("reg"), "q0"), ("q0", EPS, "q9")])
+    msg = str(err.value)
+    for part in ("duplicate state id", "final state q1", "malformed label", "dangling endpoint"):
+        assert part in msg, part
 
 
 def test_class_of_lses_is_ca():
@@ -308,6 +345,13 @@ def test_from_json_schema_errors():
         (("transitions", 0, "to"), 2),
         (("transitions", 1, "label", "index"), True),
         (("transitions", 2, "label", "letter"), 7),
+        # nothing the document adds is dropped without a word
+        (("transitions", 0, "label", "index"), 5),
+        (("transitions", 2, "label", "index"), 1),
+        (("transitions", 1, "label", "letter"), "a"),
+        (("transitions", 0, "weight"), 1),
+        (("states", 1, "name"), "two"),
+        (("comment",), "hand-made"),
     ):
         doc = copy.deepcopy(base)
         node = doc
@@ -316,6 +360,35 @@ def test_from_json_schema_errors():
         node[path[-1]] = value
         with pytest.raises(SchemaError):
             from_json(json.dumps(doc))
+
+
+def test_json_round_trips_automata_in_context():
+    # a compiled expression in context starts and ends on layer |C|: it is
+    # an automaton, which serializes and draws, but it neither runs nor
+    # extracts
+    n = name("n")
+    a = compile_in_context(ContextTriple((r1,), Cat(Bind(n, Nam(n), r1), Nam(r1)), natural_chronicle((r1,))))
+    assert a.state_map()[a.initial].regs == 1
+    assert from_json(to_json(a)) == a
+    assert to_dot(a).startswith("digraph")
+    for run in (lambda: accept(a, (r1,)), lambda: enumerate_words(a, (r1,), 2), lambda: extract_expr(a)):
+        with pytest.raises(ValidationError, match="closed"):
+            run()
+    for b in (Cda((State("1", 0, True),), "1", ()),
+              Cda((State("q0", 0), State("q1", 1), State("q2", 0, True)), "q0",
+                  (("q0", STAR, "q1"), ("q1", lab_close(1), "q2")))):
+        assert from_json(to_json(b)) == b
+
+
+def test_words_hold_only_letters_and_names():
+    a = lses_automaton()
+    e = P(LSES_TEXT)
+    assert accept(a, (A, B, r1)) and language_member(e, (A, B, r1))
+    for w in ((A, B, 3), ("a", "b"), (A, B, None)):
+        with pytest.raises(ValidationError, match="letters or names"):
+            accept(a, w)
+        with pytest.raises(ValidationError, match="letters or names"):
+            language_member(e, w)
 
 
 def test_dot_single_node():
@@ -445,7 +518,8 @@ def test_kleene_differential_over_reserved_pool():
 def test_enumerations_reject_bad_bounds(pool3):
     e = P(LSES_TEXT)
     a = compile_expr(e)
-    bad = (((r1, r1), 2), (pool3, -1), ((A,), 3), ((r1, B), 3), ("ab", 2), ((r1, "r2"), 2))
+    bad = (((r1, r1), 2), (pool3, -1), ((A,), 3), ((r1, B), 3), ("ab", 2), ((r1, "r2"), 2),
+           (pool3, 2.5), (pool3, True), (pool3, "2"))
     for pool, maxlen in bad:
         with pytest.raises(ValidationError):
             enumerate_words(a, pool, maxlen)

@@ -8,9 +8,10 @@ import pytest
 import nomre
 from nomre.automata import from_json, to_json
 from nomre.cli import build_parser, main, parse_word
-from nomre.compiler import compile_expr
+from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, LSES_TEXT, lses_automaton
-from nomre.expr import parse
+from nomre.expr import Bind, Nam, parse
+from nomre.nominal import name, natural_chronicle
 
 
 @pytest.fixture
@@ -157,6 +158,18 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     assert main(["accept", lses_json, "$"]) == 4
     assert main(["enumerate", lses_json, "--pool", "$,$r", "--maxlen", "3"]) == 4
     assert capsys.readouterr().out == ""
+
+
+def test_an_automaton_in_context_draws_but_does_not_run(tmp_path, capsys):
+    n, m = name("n"), name("m")
+    a = compile_in_context(ContextTriple((m,), Bind(n, Nam(n), m), natural_chronicle((m,))))
+    p = tmp_path / "in_context.json"
+    p.write_text(to_json(a))
+    for argv in (["accept", str(p), "$m"], ["enumerate", str(p)], ["extract", str(p)]):
+        assert main(argv) == 4
+    assert capsys.readouterr().out == ""
+    assert main(["dot", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
 
 
 # The nomre modules that each subcommand loads, run through cli.main in a

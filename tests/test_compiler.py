@@ -12,7 +12,6 @@ from nomre.automata import (
     class_of,
     enumerate_words,
     equiv_bounded,
-    validate,
 )
 from nomre.calculus import language_enumerate
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
@@ -31,7 +30,6 @@ def P(text):
 
 def test_compile_lses_class_and_language(pool3):
     a = compile_expr(P("ab<$n._$n*>"))
-    assert validate(a).ok
     assert class_of(a).tag is CdaClass.CA
     r1, r2, r3 = pool3
     assert accept(a, (A, B, r1, r2, r3))
@@ -142,7 +140,6 @@ def test_class_fidelity_exact_on_zero_free():
     seen = set()
     for e in exprs:
         a = compile_expr(e)
-        assert validate(a).ok
         assert class_of(a).tag is _CLASS_MAP[classify(e)], render(e)
         seen.add(classify(e))
     assert seen == set(_CLASS_MAP)

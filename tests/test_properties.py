@@ -6,6 +6,7 @@ that hypothesis shrinks becomes a fixed case in the tests of the module
 at fault.
 """
 
+import copy
 import json
 import math
 import random
@@ -71,6 +72,43 @@ documents = st.fixed_dictionaries(
         "transitions": st.lists(transitions, max_size=3),
     }
 )
+
+
+# Documents close to what to_json writes, some with a stray key: from_json
+# accepts a good share of them.
+layers = st.integers(0, 2)
+stray = {"note": scalars}
+plausible_labels = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["eps", "star", "letter", "reg", "under", "close"])},
+    optional={"letter": st.sampled_from(LETTERS), "index": layers, **stray},
+)
+plausible_documents = st.fixed_dictionaries(
+    {
+        "states": st.lists(
+            st.fixed_dictionaries({"id": ids, "regs": layers}, optional={"final": st.booleans(), **stray}),
+            min_size=1, max_size=2, unique_by=lambda s: s["id"],
+        ),
+        "initial": ids,
+        "transitions": st.lists(
+            st.fixed_dictionaries({"from": ids, "label": plausible_labels, "to": ids}, optional=stray),
+            max_size=3,
+        ),
+    },
+    optional=stray,
+)
+
+
+@steady
+@given(plausible_documents)
+def test_from_json_keeps_every_field_of_what_it_accepts(doc):
+    try:
+        a = from_json(json.dumps(doc))
+    except SchemaError:
+        return
+    want = copy.deepcopy(doc)
+    for s in want["states"]:
+        s.setdefault("final", False)
+    assert json.loads(to_json(a)) == want
 
 
 @steady
