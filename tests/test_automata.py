@@ -104,6 +104,12 @@ _Q = (State("q0", 0), State("q1", 1))
     pytest.param((State("q0", -1),), "q0", (), id="negative regs"),
     pytest.param(_Q[:1], "q9", (), id="initial missing"),
     pytest.param(_Q[:1], "q0", [("q0", EPS, "q9")], id="dangling endpoint"),
+    pytest.param(_Q, "q0", [("q0", EPS, "q1")], id="eps changes layer"),
+    pytest.param(_Q, "q0", [("q0", lab_letter("a"), "q1")], id="letter changes layer"),
+    pytest.param(_Q, "q1", [("q1", lab_reg(1), "q0")], id="reg changes layer"),
+    pytest.param(_Q, "q1", [("q1", lab_under(1), "q0")], id="under changes layer"),
+    pytest.param(_Q, "q0", [("q0", STAR, "q1"), ("q1", lab_close(1), "q1")],
+                 id="close stays on its layer"),
     pytest.param(("q0",), "q0", (), id="state not a State"),
 ])
 def test_construction_rejects_malformed_pieces(states, initial, transitions):

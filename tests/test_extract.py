@@ -178,6 +178,8 @@ GOLDEN_EXTRACT = os.path.join(os.path.dirname(__file__), "golden", "extract.txt"
 def _extraction_lines():
     autos = [("hand " + k, a) for k, a in handbuilt_automata().items()]
     autos += [("compiled " + k, compile_expr(P(t))) for k, t in all_expr_texts().items()]
+    autos += [("corpus103 %d" % i, compile_expr(e))
+              for i, e in enumerate(corpus_of_classes(seed=103, total=200))]
     return ["%s\t%s\n" % (k, render(extract_expr(a))) for k, a in autos]
 
 
