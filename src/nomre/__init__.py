@@ -35,7 +35,7 @@ _EXPORTS = {
         "ContextTriple", "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed",
         "classify", "classify_first_degree", "free_names", "parse", "render",
     ),
-    "extract": ("determinize_layers", "extract_expr", "layered_view"),
+    "extract": ("determinize_layers", "extract_expr"),
     "nominal": (
         "Chronicle", "Letter", "Name", "Perm", "name", "perm_from_lists", "placeholder",
         "transpose",

@@ -21,7 +21,7 @@ import enum
 import json
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter, _orbit_words, check_bounds, check_word
+from .nominal import Letter, _orbit_words, atom_key, check_bounds, check_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +30,20 @@ class Label:
     letter: Letter | None = None
     index: int | None = None
 
+    def shaped(self):
+        """Whether the fields fit the kind: a Letter only for a letter, an int index only
+        for reg, under and close."""
+        if self.kind in ("eps", "star"):
+            return self.letter is None and self.index is None
+        if self.kind == "letter":
+            return type(self.letter) is Letter and self.index is None
+        if self.kind in ("reg", "under", "close"):
+            return self.letter is None and type(self.index) is int
+        return False
+
     def __repr__(self):
+        if not self.shaped():
+            return "Label(%r, letter=%r, index=%r)" % (self.kind, self.letter, self.index)
         if self.kind == "eps":
             return "eps"
         if self.kind == "letter":
@@ -119,25 +132,14 @@ class Cda:
                 bad.append("malformed transition %r" % (tr,))
                 continue
             f, lab, t = tr
-            kind = lab.kind if type(lab) is Label else None
-            if kind == "eps" or kind == "star":
-                shaped = lab.letter is None and lab.index is None
-            elif kind == "letter":
-                shaped = type(lab.letter) is Letter and lab.index is None
-            elif kind == "reg" or kind == "under" or kind == "close":
-                shaped = lab.letter is None and type(lab.index) is int
-            else:
-                shaped = False
-            if not shaped:
-                if type(lab) is Label:
-                    lab = (kind, lab.letter, lab.index)
+            if type(lab) is not Label or not lab.shaped():
                 bad.append("malformed label %r from %s" % (lab, f))
                 continue
             kf, kt = layer.get(f), layer.get(t)
             if kf is None or kt is None:
                 bad.append("dangling endpoint [%s -%r-> %s]" % tr)
                 continue
-            want = kf + _DELTA[kind]
+            want = kf + _DELTA[lab.kind]
             if kt != want:
                 bad.append("|q'| must be %d, is %d [%s -%r-> %s]" % (want, kt, f, lab, t))
             if lab.index is not None and not 1 <= lab.index <= kf:
@@ -325,6 +327,7 @@ def _representatives(a, pool, maxlen):
     eng = _Engine(a)
     letters = tuple(sorted(a.letters(), key=lambda l: l.sym))
     memo = {}
+    succ = {}  # (macro, token) -> closed successor, None where no run reads the token
 
     def go(macro, remaining, used):
         key = (macro, remaining, used)
@@ -336,10 +339,12 @@ def _representatives(a, pool, maxlen):
             out.add(())
         if remaining > 0:
             for tok in letters + pool[: used + 1]:
-                stepped = eng.consume(macro, tok)
-                if not stepped:
+                if (macro, tok) not in succ:
+                    stepped = eng.consume(macro, tok)
+                    succ[macro, tok] = eng.closure(stepped) if stepped else None
+                nxt = succ[macro, tok]
+                if nxt is None:
                     continue
-                nxt = eng.closure(stepped)
                 fresh = used < len(pool) and tok is pool[used]
                 for suf in go(nxt, remaining - 1, used + fresh):
                     out.add((tok,) + suf)
@@ -356,7 +361,7 @@ def enumerate_words(a, pool, maxlen):
 
 
 def word_sort_key(w):
-    return (len(w), tuple((0, t.sym) if isinstance(t, Letter) else (1,) + t.sort_key() for t in w))
+    return (len(w), tuple(map(atom_key, w)))
 
 
 def equiv_bounded(a, b, pool, maxlen):
@@ -443,12 +448,21 @@ def _label(d):
     return lab_letter(d["letter"])
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for k, v in pairs:
+        if k in doc:
+            raise SchemaError("malformed automaton document: key %r repeats" % k)
+        doc[k] = v
+    return doc
+
+
 def from_json(text):
     """The automaton that a to_json document describes. A state may omit
-    "final", which defaults to false; any other missing or extra key, and
-    any value of the wrong type, is a SchemaError."""
+    "final", which defaults to false; any other missing, extra or repeated
+    key, and any value of the wrong type, is a SchemaError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError("not valid JSON: %s" % e) from e
     try:

@@ -45,6 +45,7 @@ from .nominal import (
     Chronicle,
     Letter,
     Name,
+    atom_key,
     check_bounds,
     check_word,
     hcv,
@@ -407,18 +408,12 @@ def _signature(p, sw):
     return (word_pos, tuple(sorted(own)), tuple(sorted(member)))
 
 
-def _atom_key(x):
-    if isinstance(x, Letter):
-        return (0, x.sym)
-    return (1,) + x.sort_key()
-
-
 def _cond_key(c):
     if isinstance(c, Local):
-        return (0, _atom_key(c.p), 0, tuple(map(_atom_key, c.wrt)))
+        return (0, atom_key(c.p), 0, tuple(map(atom_key, c.wrt)))
     if isinstance(c, Global):
-        return (1, _atom_key(c.p), c.reg, tuple(map(_atom_key, c.wrt)))
-    return (2, _atom_key(c.l), 0, (_atom_key(c.r),))
+        return (1, atom_key(c.p), c.reg, tuple(map(atom_key, c.wrt)))
+    return (2, atom_key(c.l), 0, (atom_key(c.r),))
 
 
 def schematic_normalize(sw: SchematicWord) -> SchematicWord:
@@ -445,11 +440,11 @@ def flatten_to_neqs(sw: SchematicWord) -> SchematicWord:
     pairs = set()
     for c in sw.cond:
         if isinstance(c, Neq):
-            pairs.add(tuple(sorted((c.l, c.r), key=_atom_key)))
+            pairs.add(tuple(sorted((c.l, c.r), key=atom_key)))
         else:
             for x in c.wrt:
-                pairs.add(tuple(sorted((c.p, x), key=_atom_key)))
-    conds = tuple(Neq(l, r) for l, r in sorted(pairs, key=lambda p: tuple(map(_atom_key, p))))
+                pairs.add(tuple(sorted((c.p, x), key=atom_key)))
+    conds = tuple(Neq(l, r) for l, r in sorted(pairs, key=lambda p: tuple(map(atom_key, p))))
     return schematic_normalize(SchematicWord(sw.word, conds))
 
 

@@ -12,11 +12,9 @@ Canonical register naming (n1, n2, ...) is fixed; alpha-equivalence makes
 the choice immaterial.
 """
 
-from dataclasses import dataclass
-
 from .automata import Cda, State
 from .errors import ValidationError
-from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO, Zero
+from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO
 from .nominal import name
 
 
@@ -24,58 +22,10 @@ def canonical_register_name(i):
     return name("n%d" % i)
 
 
-@dataclass(frozen=True)
-class LayeredView:
-    """States split by register count, with the three edge families."""
-
-    layers: dict  # regcount -> tuple of state ids
-    intra: dict  # regcount -> tuple of (from, Label, to)
-    star_edges: tuple  # (from at k, to at k+1)
-    close_edges: tuple  # (from at k, index, to at k-1)
-
-
-def layered_view(a: Cda) -> LayeredView:
-    sm = a.state_map()
-    if sm[a.initial].regs:
-        raise ValidationError("only a closed automaton extracts: the initial state is not on layer 0")
-    layers = {}
-    for s in a.states:
-        layers.setdefault(s.regs, []).append(s.id)
-    for k in layers:
-        layers[k] = tuple(sorted(layers[k]))
-    intra = {k: [] for k in layers}
-    stars = []
-    closes = []
-    for f, lab, t in a.transitions:
-        if lab.kind == "star":
-            stars.append((f, t))
-        elif lab.kind == "close":
-            closes.append((f, lab.index, t))
-        else:
-            intra[sm[f].regs].append((f, lab, t))
-    return LayeredView(
-        layers,
-        {k: tuple(v) for k, v in intra.items()},
-        tuple(stars),
-        tuple(closes),
-    )
-
-
 # ------------------------------------------------------ expression algebra
-
-def mk_sum(a, b):
-    if a is None or isinstance(a, Zero):
-        return b if b is not None else ZERO
-    if b is None or isinstance(b, Zero):
-        return a
-    if a == b:
-        return a
-    return Sum(a, b)
-
+# Elimination never builds 0: two nodes that no path joins share no edge.
 
 def mk_cat(a, b):
-    if isinstance(a, Zero) or isinstance(b, Zero):
-        return ZERO
     if isinstance(a, One):
         return b
     if isinstance(b, One):
@@ -84,7 +34,7 @@ def mk_cat(a, b):
 
 
 def mk_star(e):
-    if isinstance(e, (Zero, One)):
+    if isinstance(e, One):
         return ONE
     if isinstance(e, Star):
         return e
@@ -108,11 +58,9 @@ def _eliminate(nodes, edges, sources, sinks):
     pred = {}  # node -> {predecessor: label}
 
     def add(f, t, e):
-        if e is None or isinstance(e, Zero):
-            return
         cur = succ.setdefault(f, {}).get(t)
         if cur is not None:
-            e = mk_sum(cur, e)
+            e = cur if cur == e else Sum(cur, e)
         succ[f][t] = pred.setdefault(t, {})[f] = e
 
     for f, e, t in edges:
@@ -151,26 +99,32 @@ def _atom(lab):
 
 def extract_expr(a: Cda):
     """An expression with the same language as the automaton (canonical names)."""
-    view = layered_view(a)
-    sm = a.state_map()
-    top = max(view.layers)
-    gen = {k: [(f, _atom(lab), t) for f, lab, t in view.intra.get(k, ())] for k in range(top + 1)}
+    layer = {s.id: s.regs for s in a.states}
+    if layer[a.initial]:
+        raise ValidationError("only a closed automaton extracts: the initial state is not on layer 0")
+    top = max(layer.values())
+    # by layer: its states, its atom edges and then binder edges, the * edges
+    # that enter it and the close edges that leave it
+    nodes, gen, entries, exits = ([[] for _ in range(top + 1)] for _ in range(4))
+    for s in a.states:
+        nodes[s.regs].append(s.id)
+    for f, lab, t in a.transitions:
+        if lab.kind == "star":
+            entries[layer[t]].append((f, t))
+        elif lab.kind == "close":
+            exits[layer[f]].append((f, lab.index, t))
+        else:
+            gen[layer[f]].append((f, _atom(lab), t))
     for k in range(top, 0, -1):
-        nodes = view.layers.get(k, ())
-        entries = [(p, r) for p, r in view.star_edges if sm[p].regs == k - 1]
-        exits = [(f, i, q) for f, i, q in view.close_edges if sm[f].regs == k]
-        sources = {(_SRC, r): r for _, r in entries}
-        paths = _eliminate(nodes, gen.get(k, ()), sources, {f: (_DST, f) for f, _, _ in exits})
-        for p, r in entries:
-            for f, i, q in exits:
+        sources = {(_SRC, r): r for _, r in entries[k]}
+        paths = _eliminate(nodes[k], gen[k], sources, {f: (_DST, f) for f, _, _ in exits[k]})
+        for p, r in entries[k]:
+            for f, i, q in exits[k]:
                 body = paths.get(((_SRC, r), (_DST, f)))
-                if body is None:
-                    continue
-                wrapped = Bind(canonical_register_name(k), body, canonical_register_name(i))
-                gen.setdefault(k - 1, []).append((p, wrapped, q))
-    finals = sorted(a.finals())
-    paths = _eliminate(view.layers.get(0, ()), gen.get(0, ()), {_SRC: a.initial},
-                       {f: _DST for f in finals})
+                if body is not None:
+                    binder = Bind(canonical_register_name(k), body, canonical_register_name(i))
+                    gen[k - 1].append((p, binder, q))
+    paths = _eliminate(nodes[0], gen[0], {_SRC: a.initial}, {f: _DST for f in sorted(a.finals())})
     return paths.get((_SRC, _DST), ZERO)
 
 
@@ -182,12 +136,14 @@ def determinize_layers(a: Cda) -> Cda:
     Classical closure/powerset inside each layer; ``*`` and close edges are
     lifted subset-wise, one edge per label.
     """
-    sm = a.state_map()
+    layer = {s.id: s.regs for s in a.states}
     finals = a.finals()
-    eps_out = {}
-    for f, lab, t in a.transitions:
+    eps_out, out = {}, {}  # by source: eps targets; (position, label, target) of other edges
+    for n, (f, lab, t) in enumerate(a.transitions):
         if lab.kind == "eps":
             eps_out.setdefault(f, []).append(t)
+        else:
+            out.setdefault(f, []).append((n, lab, t))
 
     def eclose(states):
         seen = set(states)
@@ -207,11 +163,10 @@ def determinize_layers(a: Cda) -> Cda:
     work = [start]
     while work:
         cur = work.pop()
-        layer = sm[next(iter(cur))].regs
         buckets = {}
-        for f, lab, t in a.transitions:
-            if f in cur and lab.kind != "eps":
-                buckets.setdefault(lab, set()).add(t)
+        # in automaton order, so labels that print alike keep their order
+        for _, lab, t in sorted(e for s in cur for e in out.get(s, ())):
+            buckets.setdefault(lab, set()).add(t)
         for lab, targets in sorted(buckets.items(), key=lambda kv: repr(kv[0])):
             nxt = eclose(targets)
             if nxt not in ids:
@@ -219,5 +174,5 @@ def determinize_layers(a: Cda) -> Cda:
                 order.append(nxt)
                 work.append(nxt)
             trs.append((ids[cur], lab, ids[nxt]))
-    states = [State(ids[sub], sm[next(iter(sub))].regs, bool(sub & finals)) for sub in order]
+    states = [State(ids[sub], layer[next(iter(sub))], bool(sub & finals)) for sub in order]
     return Cda(states, "D0", trs)

@@ -93,6 +93,13 @@ class Letter:
         return self.sym
 
 
+def atom_key(x):
+    """The order of word atoms: letters by spelling, then names."""
+    if isinstance(x, Letter):
+        return (0, x.sym)
+    return (1,) + x.sort_key()
+
+
 class Perm:
     """A finitely generated permutation of the name universe.
 

@@ -126,6 +126,17 @@ def test_construction_lists_every_violation():
         assert part in msg, part
 
 
+def test_label_repr():
+    short = (EPS, STAR, lab_letter("a"), lab_reg(1), lab_under(1), lab_close(1))
+    assert [repr(l) for l in short] == ["eps", "*", "a", "r1", "u1", "close1"]
+    # a label whose fields do not fit its kind prints them all
+    assert repr(Label("reg")) == "Label('reg', letter=None, index=None)"
+    assert repr(Label("warp", index=1)) == "Label('warp', letter=None, index=1)"
+    assert repr(Label("close", index=True)) == "Label('close', letter=None, index=True)"
+    with pytest.raises(ValidationError, match=r"malformed label Label\('warp'"):
+        Cda(_Q[:1], "q0", [("q0", Label("warp", index=1), "q0")])
+
+
 def test_class_of_lses_is_ca():
     info = class_of(lses_automaton())
     assert info.tag is CdaClass.CA
@@ -368,6 +379,18 @@ def test_from_json_schema_errors():
             from_json(json.dumps(doc))
 
 
+REPEATED_INITIAL = (
+    '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0, "final": false}],'
+    ' "initial": "q1", "initial": "q0", "transitions": []}'
+)
+
+
+def test_from_json_rejects_a_repeated_key():
+    # json.loads alone keeps the last value, and this would load with initial q0
+    with pytest.raises(SchemaError, match="'initial' repeats"):
+        from_json(REPEATED_INITIAL)
+
+
 def test_json_round_trips_automata_in_context():
     # a compiled expression in context starts and ends on layer |C|: it is
     # an automaton, which serializes and draws, but it neither runs nor
@@ -566,6 +589,20 @@ def test_enumeration_work_is_one_orbit_at_a_time(monkeypatch):
     words = enumerate_words(compile_expr(P(LTHS_TEXT)), default_pool(5), 8)
     assert len(words) == 9371
     assert calls[0] <= 1000
+
+
+def test_enumeration_steps_each_macro_state_once_per_token(monkeypatch):
+    # a macro state reached at several remaining lengths reads each token once
+    calls = []
+    consume = _Engine.consume
+
+    def recording(self, macro, token):
+        calls.append((macro, token))
+        return consume(self, macro, token)
+
+    monkeypatch.setattr(_Engine, "consume", recording)
+    enumerate_words(compile_expr(P(LTHS_TEXT)), default_pool(5), 8)
+    assert len(calls) == len(set(calls)) == 360
 
 
 def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_exprs):

@@ -150,6 +150,13 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     badj4 = tmp_path / "bad4.json"
     badj4.write_text('{"states": [{"id": "q", "regs": 0, "final": "false"}], "initial": "q", "transitions": []}')
     assert main(["accept", str(badj4), ""]) == 4
+    # a repeated key is rejected, not resolved to its last value
+    badj5 = tmp_path / "bad5.json"
+    badj5.write_text(
+        '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0, "final": false}],'
+        ' "initial": "q1", "initial": "q0", "transitions": []}'
+    )
+    assert main(["accept", str(badj5), ""]) == 4
     missing = str(tmp_path / "missing.nre")
     assert main(["check", missing]) == 2
     # a negative star bound is rejected like a negative maxlen

@@ -16,27 +16,13 @@ from nomre.automata import (
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, all_expr_texts, handbuilt_automata
 from nomre.expr import NreClass, check_wellformed, classify, parse, render
-from nomre.extract import determinize_layers, extract_expr, layered_view
+from nomre.extract import determinize_layers, extract_expr
 from nomre.genexpr import corpus_of_classes
 from nomre.nominal import Letter
 
 
 def P(text):
     return parse(text, ALPHABET)
-
-
-def test_layered_view_edge_families(hand_automata):
-    a = hand_automata["lonet"]
-    view = layered_view(a)
-    sm = a.state_map()
-    for f, t in view.star_edges:
-        assert sm[t].regs == sm[f].regs + 1
-    for f, i, t in view.close_edges:
-        assert sm[t].regs == sm[f].regs - 1
-        assert 1 <= i <= sm[f].regs
-    for k, edges in view.intra.items():
-        for f, lab, t in edges:
-            assert sm[f].regs == sm[t].regs == k
 
 
 def test_determinize_deterministic_single_layer_is_isomorphic(hand_automata):
