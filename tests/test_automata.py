@@ -335,6 +335,12 @@ def test_from_json_schema_errors():
             from_json(doc % (regs, trs))
     with pytest.raises(SchemaError):
         from_json("[" * 100000 + "]" * 100000)
+    # json.loads alone keeps a repeated key's last value: initial q0 here
+    with pytest.raises(SchemaError, match="'initial' repeats"):
+        from_json(
+            '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0}],'
+            ' "initial": "q1", "initial": "q0", "transitions": []}'
+        )
     # field types are checked, not coerced: each change below was once read
     # as a valid automaton that the document does not describe
     base = {
@@ -377,18 +383,6 @@ def test_from_json_schema_errors():
         node[path[-1]] = value
         with pytest.raises(SchemaError):
             from_json(json.dumps(doc))
-
-
-REPEATED_INITIAL = (
-    '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0, "final": false}],'
-    ' "initial": "q1", "initial": "q0", "transitions": []}'
-)
-
-
-def test_from_json_rejects_a_repeated_key():
-    # json.loads alone keeps the last value, and this would load with initial q0
-    with pytest.raises(SchemaError, match="'initial' repeats"):
-        from_json(REPEATED_INITIAL)
 
 
 def test_json_round_trips_automata_in_context():
@@ -577,32 +571,26 @@ def test_enumerate_words_agrees_with_reference(corpus_exprs, oracle_pools):
 
 def test_enumeration_work_is_one_orbit_at_a_time(monkeypatch):
     # each step offers the used pool names and one unused name, not the
-    # whole pool, so the macro states explored stay few
+    # whole pool, so the macro states explored stay few; and a macro state
+    # reached at several remaining lengths reads each token once
     calls = [0]
-    closure = _Engine.closure
+    steps = []
+    closure, consume = _Engine.closure, _Engine.consume
 
     def counting(self, *args):
         calls[0] += 1
         return closure(self, *args)
 
+    def recording(self, macro, token):
+        steps.append((macro, token))
+        return consume(self, macro, token)
+
     monkeypatch.setattr(_Engine, "closure", counting)
+    monkeypatch.setattr(_Engine, "consume", recording)
     words = enumerate_words(compile_expr(P(LTHS_TEXT)), default_pool(5), 8)
     assert len(words) == 9371
     assert calls[0] <= 1000
-
-
-def test_enumeration_steps_each_macro_state_once_per_token(monkeypatch):
-    # a macro state reached at several remaining lengths reads each token once
-    calls = []
-    consume = _Engine.consume
-
-    def recording(self, macro, token):
-        calls.append((macro, token))
-        return consume(self, macro, token)
-
-    monkeypatch.setattr(_Engine, "consume", recording)
-    enumerate_words(compile_expr(P(LTHS_TEXT)), default_pool(5), 8)
-    assert len(calls) == len(set(calls)) == 360
+    assert len(steps) == len(set(steps)) == 360
 
 
 def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_exprs):

@@ -153,7 +153,7 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     # a repeated key is rejected, not resolved to its last value
     badj5 = tmp_path / "bad5.json"
     badj5.write_text(
-        '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0, "final": false}],'
+        '{"states": [{"id": "q0", "regs": 0, "final": true}, {"id": "q1", "regs": 0}],'
         ' "initial": "q1", "initial": "q0", "transitions": []}'
     )
     assert main(["accept", str(badj5), ""]) == 4
