@@ -12,10 +12,12 @@ chronicle's history as a set. A ``*`` does not choose a name: it pushes a
 pending value, which the first read of its register binds to the token
 read, as long as the token is none of the names the value must differ
 from. Configurations then hold input names only, and their number does not
-grow with the input. The reference stepper in ``nomre.oracle`` chooses real
-names instead.
+grow with the input. ``accept`` also forgets each name at its last read, as
+no later token can equal it, so its configurations hold only names that the
+rest of the word reads again. ``nomre.oracle`` chooses real names instead.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 import enum
 import json
@@ -47,7 +49,9 @@ class Label:
         if self.kind == "eps":
             return "eps"
         if self.kind == "letter":
-            return self.letter.sym
+            sym = self.letter.sym  # quoted where it is spelled like another label
+            head = sym.rstrip("0123456789")
+            return repr(sym) if sym in ("eps", "*") or head != sym and head in ("r", "u", "close") else sym
         if self.kind == "reg":
             return "r%d" % self.index
         if self.kind == "star":
@@ -208,6 +212,16 @@ def _assign(regs, i, token, depth):
     return tuple(out)
 
 
+# a forgotten current value (equal to no token), the token of names read once, a cache miss
+_DEAD, _ONCE, _MISS = object(), object(), object()
+
+
+def _forget(regs, token):
+    """regs after the last read of token: it leaves every value, history and avoid set."""
+    return tuple((_DEAD if cv is token else (cv[0] - {token}, cv[1]) if type(cv) is tuple else cv,
+                  h - {token}) for cv, h in regs)
+
+
 class _Engine:
     """Shared machinery for accept/enumerate over one automaton.
 
@@ -216,7 +230,8 @@ class _Engine:
     registers hold it in their history. The first ``reg`` read of its
     register binds it to any token outside avoid. A pending value that stops
     being current can never be read and drops out, so a configuration
-    (state, regs) holds input names only and is its own visited key.
+    (state, regs) holds input names only and is its own visited key. Steps are cached for
+    the engine's one call; one that forgets its token leaves only names the word reads again.
     """
 
     def __init__(self, a):
@@ -235,6 +250,7 @@ class _Engine:
                 slot["letter"].setdefault(lab.letter, []).append(t)
             else:
                 slot[lab.kind].setdefault(lab.index, []).append(t)
+        self.steps = {}
 
     def closure(self, configs):
         """All configs reachable via non-consuming moves (eps, *, close)."""
@@ -251,7 +267,7 @@ class _Engine:
                 for t in slot["eps"]:
                     nxt.append((t, regs))
                 if slot["star"]:
-                    avoid = frozenset(cv for cv, _ in regs if type(cv) is not tuple)
+                    avoid = frozenset(cv for cv, _ in regs if type(cv) is not tuple and cv is not _DEAD)
                     nregs = regs + (((avoid, len(regs) + 1), frozenset()),)
                     nxt.extend((t, nregs) for t in slot["star"])
                 for i, t in slot["close"]:
@@ -298,20 +314,37 @@ class _Engine:
                             nxt.append((t, nregs))
         return nxt
 
+    def step(self, macro, token, keep):
+        """closure(consume(macro, token)), forgetting token unless keep; None if nothing reads it."""
+        got = self.steps.get((macro, token, keep), _MISS)
+        if got is _MISS:
+            stepped = self.consume(macro, token)
+            if not keep:
+                stepped = [(state, _forget(regs, token)) for state, regs in stepped]
+            got = self.steps[macro, token, keep] = self.closure(stepped) if stepped else None
+        return got
+
     def accepting(self, configs):
         return any(state in self.finals and not regs for state, regs in configs)
 
 
 def accept(a, w):
-    """Whether some run consumes all of w and ends final with no registers."""
+    """Whether some run consumes all of w and ends final with no registers. Each name is forgotten
+    at its last read, so configurations hold only names that the rest of w reads again."""
     w = check_word(w)
+    last = {t: i for i, t in enumerate(w)}
+    reads = Counter(w)
     eng = _Engine(a)
     macro = eng.closure([(a.initial, ())])
-    for token in w:
-        stepped = eng.consume(macro, token)
-        if not stepped:
+    for i, token in enumerate(w):
+        if isinstance(token, Letter):
+            macro = eng.step(macro, token, True)
+        elif reads[token] == 1:  # it matches nothing held, so its step does not depend on it
+            macro = eng.step(macro, _ONCE, False)
+        else:
+            macro = eng.step(macro, token, last[token] != i)
+        if macro is None:
             return False
-        macro = eng.closure(stepped)
     return eng.accepting(macro)
 
 
@@ -327,7 +360,6 @@ def _representatives(a, pool, maxlen):
     eng = _Engine(a)
     letters = tuple(sorted(a.letters(), key=lambda l: l.sym))
     memo = {}
-    succ = {}  # (macro, token) -> closed successor, None where no run reads the token
 
     def go(macro, remaining, used):
         key = (macro, remaining, used)
@@ -339,10 +371,7 @@ def _representatives(a, pool, maxlen):
             out.add(())
         if remaining > 0:
             for tok in letters + pool[: used + 1]:
-                if (macro, tok) not in succ:
-                    stepped = eng.consume(macro, tok)
-                    succ[macro, tok] = eng.closure(stepped) if stepped else None
-                nxt = succ[macro, tok]
+                nxt = eng.step(macro, tok, True)
                 if nxt is None:
                     continue
                 fresh = used < len(pool) and tok is pool[used]

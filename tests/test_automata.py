@@ -37,6 +37,7 @@ from nomre.corpus import (
     LONET_TEXT,
     LSES_TEXT,
     LTHS_TEXT,
+    SUCC_DISTINCT_TEXT,
     default_pool,
     lonet_automaton,
     lses_automaton,
@@ -135,6 +136,14 @@ def test_label_repr():
     assert repr(Label("close", index=True)) == "Label('close', letter=None, index=True)"
     with pytest.raises(ValidationError, match=r"malformed label Label\('warp'"):
         Cda(_Q[:1], "q0", [("q0", Label("warp", index=1), "q0")])
+    # a letter spelled like another kind of label is quoted, in to_dot too:
+    # over the alphabet {r1}, <$x.$x r1> reads register 1, then the letter r1
+    assert [repr(lab_letter(s)) for s in ("eps", "*", "u2", "close1", "r", "r1a")] == \
+        ["'eps'", "'*'", "'u2'", "'close1'", "r", "r1a"]
+    a = compile_expr(parse("<$x.$x r1>", ("r1",)))
+    assert [l for _, l, _ in a.transitions if l.kind in ("reg", "letter")] == [lab_reg(1), lab_letter("r1")]
+    dot = to_dot(a)
+    assert 'label="r1"' in dot and "label=\"'r1'\"" in dot
 
 
 def test_class_of_lses_is_ca():
@@ -477,7 +486,8 @@ def test_engine_agrees_with_reference(rng, pool3):
 
 def test_engine_macro_states_do_not_grow_with_the_word(monkeypatch):
     # A * pushes one pending value instead of guessing among the word's
-    # names, so the largest closure is a constant of the automaton.
+    # names, so the largest closure of each word is a constant of the
+    # automaton, whatever the word's length.
     peaks = []
     closure = _Engine.closure
 
@@ -493,25 +503,118 @@ def test_engine_macro_states_do_not_grow_with_the_word(monkeypatch):
         return accept(a, w), peaks[-1]
 
     lses = compile_expr(P(LSES_TEXT))
-    sizes = set()
+    sizes = {True: set(), False: set()}
     for n in (8, 32, 64, 128):
         good = (A, B) + tuple(name("s%d" % i) for i in range(n))
-        sizes.add(run(lses, good))
-        sizes.add(run(lses, good[:-1] + (good[2],)))
-    assert {v for v, _ in sizes} == {True, False}
-    assert len({peak for _, peak in sizes}) == 1
+        for w in (good, good[:-1] + (good[2],)):
+            verdict, peak = run(lses, w)
+            sizes[verdict].add(peak)
+    assert all(len(p) == 1 for p in sizes.values())
     # lths sessions r (l d) (m d): m and l are allocated before they are read
     lths = compile_expr(P(LTHS_TEXT))
     D = Letter("d")
-    sizes = set()
+    sizes = {True: set(), False: set()}
     for n in (2, 3):
         w = (A, B)
         for k in range(n):
             w += (name("r%d" % k), name("l%d" % k), D, name("m%d" % k), D)
-        sizes.add(run(lths, w))
-        sizes.add(run(lths, w + (name("r0"),)))
-    assert {v for v, _ in sizes} == {True, False}
-    assert len({peak for _, peak in sizes}) == 1
+        for word in (w, w + (name("r0"),)):
+            verdict, peak = run(lths, word)
+            sizes[verdict].add(peak)
+    assert all(len(p) == 1 for p in sizes.values())
+    # names are forgotten at their last read: 287 configurations while
+    # every name read was kept, 58 (member) and 92 (non-member) since
+    assert max(max(p) for p in sizes.values()) <= 92
+
+
+def _long_words(rng, a, count):
+    # About 30 % letters and names from a pool of four. Every other word is
+    # drawn at random. The rest follow runs of the automaton and offer, like
+    # the enumerator, the names read so far and the next unread one; half
+    # of them end by reading their last name again. Random words seldom
+    # read several names once and then one name twice, the shape that
+    # tells a step cached for a name read once from the first read of a
+    # name read again.
+    pool = default_pool(4)
+    letters = tuple(Letter(c) for c in ALPHABET)
+    eng = _Engine(a)
+    for k in range(count):
+        n = rng.randint(4, 10)
+        if k % 2 == 0:
+            yield tuple(rng.choice(letters) if rng.random() < 0.3 else rng.choice(pool)
+                        for _ in range(n))
+            continue
+        macro = eng.closure([(a.initial, ())])
+        w = ()
+        while len(w) < n:
+            read = [t for t in w if t in pool]
+            if len(w) == n - 1 and read and rng.random() < 0.5:
+                w += (read[-1],)
+                break
+            names = pool[: len(set(read)) + 1]
+            live = [t for t in letters + names
+                    if macro is not None and eng.step(macro, t, True) is not None]
+            kind = letters if rng.random() < 0.3 else names
+            t = rng.choice([t for t in kind if t in live] or live or kind)
+            macro = None if macro is None else eng.step(macro, t, True)
+            w += (t,)
+        yield w
+
+
+def test_engine_agrees_with_reference_on_long_words_with_repeated_names():
+    # accept forgets a name at its last read and steps names read once as
+    # one shared token; the reference keeps every name it reads
+    rng = random.Random(1515)
+    texts = (LSES_TEXT, LONET_TEXT, LTHS_TEXT, SUCC_DISTINCT_TEXT)
+    exprs = [P(t) for t in texts] + corpus_of_classes(seed=15, total=200)[::10]
+    for e in exprs:
+        a = compile_expr(e)
+        for w in _long_words(rng, a, 120):
+            assert accept(a, w) == accept_reference(a, w), (render(e), w)
+
+
+def test_engine_work_is_linear_in_the_word(monkeypatch):
+    # once a name is read for the last time no configuration holds it, so
+    # a word of distinct names costs the same closures at every length
+    seen = {}
+    closure = _Engine.closure
+
+    def recording(self, *args):
+        out = closure(self, *args)
+        seen["calls"] += 1
+        for _, regs in out:
+            for cv, h in regs:
+                held = max(len(h), len(cv[0]) if type(cv) is tuple else 0)
+                seen["held"] = max(seen["held"], held)
+        return out
+
+    monkeypatch.setattr(_Engine, "closure", recording)
+
+    def run(a, w):
+        seen.update(calls=0, held=0)
+        return accept(a, w), seen["calls"], seen["held"]
+
+    lses = compile_expr(P(LSES_TEXT))
+    work = set()
+    for n in (64, 4096):
+        good = (A, B) + tuple(name("s%d" % i) for i in range(n))
+        work.add(run(lses, good))
+        work.add(run(lses, good[:-1] + (good[2],)))
+    # one (verdict, closures, most names held) per verdict, whatever n
+    assert {verdict for verdict, _, _ in work} == {True, False} and len(work) == 2
+    assert max(held for _, _, held in work) <= 1
+    # lths sessions r (l l d) (m d): a name read twice in a row is held
+    # from its first read to its second
+    lths = compile_expr(P(LTHS_TEXT))
+    D = Letter("d")
+    for n in (2, 8, 32):
+        w = (A, B)
+        for k in range(n):
+            w += (name("r%d" % k), name("l%d" % k), name("l%d" % k), D, name("m%d" % k), D)
+        verdict, _, held = run(lths, w)
+        assert verdict and held <= 2
+        verdict, _, held = run(lths, w + (name("r0"),))
+        assert not verdict and held <= 2
 
 
 def test_reference_configurations_stay_finite_on_allocation_loops():
