@@ -46,20 +46,19 @@ class Label:
     def __repr__(self):
         if not self.shaped():
             return "Label(%r, letter=%r, index=%r)" % (self.kind, self.letter, self.index)
-        if self.kind == "eps":
-            return "eps"
         if self.kind == "letter":
-            sym = self.letter.sym  # quoted where it is spelled like another label
+            # a letter spelled like another label is quoted, so that the two print apart
+            sym = self.letter.sym
             head = sym.rstrip("0123456789")
-            return repr(sym) if sym in ("eps", "*") or head != sym and head in ("r", "u", "close") else sym
-        if self.kind == "reg":
-            return "r%d" % self.index
-        if self.kind == "star":
-            return "*"
-        if self.kind == "under":
-            return "u%d" % self.index
-        return "close%d" % self.index
+            if sym in ("eps", "*") or (head != sym and head in ("r", "u", "close")):
+                return repr(sym)
+            return sym
+        if self.index is None:
+            return _SPELLING[self.kind]
+        return "%s%d" % (_SPELLING[self.kind], self.index)
 
+
+_SPELLING = {"eps": "eps", "star": "*", "reg": "r", "under": "u", "close": "close"}
 
 EPS = Label("eps")
 STAR = Label("star")
@@ -217,9 +216,16 @@ _DEAD, _ONCE, _MISS = object(), object(), object()
 
 
 def _forget(regs, token):
-    """regs after the last read of token: it leaves every value, history and avoid set."""
-    return tuple((_DEAD if cv is token else (cv[0] - {token}, cv[1]) if type(cv) is tuple else cv,
-                  h - {token}) for cv, h in regs)
+    """regs after the last read of token: it leaves every current value,
+    history and avoid set."""
+    out = []
+    for cv, h in regs:
+        if cv is token:
+            cv = _DEAD
+        elif type(cv) is tuple:
+            cv = (cv[0] - {token}, cv[1])
+        out.append((cv, h - {token}))
+    return tuple(out)
 
 
 class _Engine:
@@ -230,8 +236,8 @@ class _Engine:
     registers hold it in their history. The first ``reg`` read of its
     register binds it to any token outside avoid. A pending value that stops
     being current can never be read and drops out, so a configuration
-    (state, regs) holds input names only and is its own visited key. Steps are cached for
-    the engine's one call; one that forgets its token leaves only names the word reads again.
+    (state, regs) holds input names only and is its own visited key. In
+    ``accept`` a step that forgets its token leaves only names read again.
     """
 
     def __init__(self, a):
@@ -315,7 +321,8 @@ class _Engine:
         return nxt
 
     def step(self, macro, token, keep):
-        """closure(consume(macro, token)), forgetting token unless keep; None if nothing reads it."""
+        """closure(consume(macro, token)), forgetting token unless keep, or
+        None where no run reads the token; cached for the engine's one call."""
         got = self.steps.get((macro, token, keep), _MISS)
         if got is _MISS:
             stepped = self.consume(macro, token)
@@ -329,8 +336,12 @@ class _Engine:
 
 
 def accept(a, w):
-    """Whether some run consumes all of w and ends final with no registers. Each name is forgotten
-    at its last read, so configurations hold only names that the rest of w reads again."""
+    """Whether some run consumes all of w and ends final with no registers.
+
+    Each name is forgotten at its last read, so configurations hold only
+    names that the rest of w reads again. Each read of such a name empties
+    the step cache, which so keeps no macro state from before that read.
+    """
     w = check_word(w)
     last = {t: i for i, t in enumerate(w)}
     reads = Counter(w)
@@ -342,6 +353,7 @@ def accept(a, w):
         elif reads[token] == 1:  # it matches nothing held, so its step does not depend on it
             macro = eng.step(macro, _ONCE, False)
         else:
+            eng.steps.clear()
             macro = eng.step(macro, token, last[token] != i)
         if macro is None:
             return False

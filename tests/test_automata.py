@@ -522,8 +522,6 @@ def test_engine_macro_states_do_not_grow_with_the_word(monkeypatch):
             verdict, peak = run(lths, word)
             sizes[verdict].add(peak)
     assert all(len(p) == 1 for p in sizes.values())
-    # names are forgotten at their last read: 287 configurations while
-    # every name read was kept, 58 (member) and 92 (non-member) since
     assert max(max(p) for p in sizes.values()) <= 92
 
 
@@ -615,6 +613,43 @@ def test_engine_work_is_linear_in_the_word(monkeypatch):
         assert verdict and held <= 2
         verdict, _, held = run(lths, w + (name("r0"),))
         assert not verdict and held <= 2
+
+
+def test_engine_step_cache_keeps_no_earlier_macro_state(monkeypatch):
+    # Words that read every name again, so no name is forgotten for half the
+    # word and each macro state holds more names than the one before. The
+    # step cache holds no more than the macro states of one step, at every n.
+    def size(macro):
+        return 0 if macro is None else sum(
+            len(h) + (len(cv[0]) if type(cv) is tuple else 1) for _, regs in macro for cv, h in regs)
+
+    seen = {}
+    step = _Engine.step
+
+    def recording(self, macro, token, keep):
+        out = step(self, macro, token, keep)
+        if len(self.steps) == seen["entries"] + 1:
+            key = next(reversed(self.steps))
+            seen["cached"] += size(key[0]) + size(self.steps[key])
+        elif len(self.steps) != seen["entries"]:
+            seen["cached"] = sum(size(k[0]) + size(v) for k, v in self.steps.items())
+        seen["entries"] = len(self.steps)
+        seen["peak"] = max(seen["peak"], seen["cached"])
+        seen["macro"] = max(seen["macro"], size(out))
+        return out
+
+    monkeypatch.setattr(_Engine, "step", recording)
+    cases = (  # automaton, word of the names s, the sizes of s
+        (LSES_TEXT, lambda s: (A, B) + s + s, (64, 1024)),
+        ("<$n. _$n* <$m. _$m* > >", lambda s: s + s[:-1], (16, 64)),
+        ("<$n. _$n* <$m. _$m* <$l. _$l* > > >", lambda s: s + s[:-1] + s[:-2], (8, 16)),
+    )
+    for text, word, sizes in cases:
+        a = compile_expr(P(text))
+        for n in sizes:
+            seen.update(entries=0, cached=0, peak=0, macro=0)
+            accept(a, word(tuple(name("s%d" % i) for i in range(n))))
+            assert seen["peak"] <= 2 * seen["macro"], (text, n, seen)
 
 
 def test_reference_configurations_stay_finite_on_allocation_loops():
