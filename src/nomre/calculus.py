@@ -24,7 +24,7 @@ are determined.
 import itertools
 from dataclasses import dataclass, replace
 
-from .errors import ContextError, ResourceLimitError, ValidationError
+from .errors import ContextError, ResourceLimitError
 from .expr import (
     Bind,
     Cat,
@@ -51,6 +51,7 @@ from .nominal import (
     hcv,
     is_placeholder,
     _orbit_words,
+    _check_bound,
     natural_chronicle,
     perm_from_lists,
     placeholder,
@@ -142,13 +143,25 @@ def _binder_subcontext(e, pre, post):
     return x, body, pre + (x,), sub_post
 
 
-def _check_context(pre, post):
-    """The calculus's own rule on top of the ContextTriple contract: no ~k or
-    *k in a context, since the calculus draws its binder atoms and
-    placeholders from those supplies."""
-    for x in itertools.chain(pre, _atoms((), (), post)):
+def _check_context(t):
+    """The calculus's own rules on top of the ContextTriple contract: no ~k
+    or *k in a context, since the calculus draws its binder atoms and
+    placeholders from those supplies; every free read in the pre-context;
+    every free close name in one of the two contexts. They are checked
+    before any derivation starts, so no bound and no sibling subterm decides
+    whether a violation is found. Whether a close name is a current value
+    where its binder closes is checked as each binder is derived."""
+    for x in itertools.chain(t.pre, _atoms((), (), t.post)):
         if isinstance(x, Name) and x.kind != Name.K_USER:
             raise ContextError("context name %r is reserved for the calculus" % (x,))
+    rep = check_wellformed(t.payload)
+    reads = sorted(rep.free_reads - set(t.pre), key=repr)
+    if reads:
+        raise ContextError("free name %r not in pre-context %r" % (reads[0], list(t.pre)))
+    # a name both read and closed free is in the pre-context by now
+    closes = sorted(rep.free - set(t.pre) - set(hcv(t.post)), key=repr)
+    if closes:
+        raise ContextError("close name %r is in neither context" % (closes[0],))
 
 
 _FOREST_CAP = 20000
@@ -156,9 +169,8 @@ _FOREST_CAP = 20000
 
 def ctxc_derive(t: ContextTriple, star_bound: int):
     """All resolved derivations of the triple, stars unfolded 0..star_bound."""
-    if star_bound < 0:
-        raise ValidationError("star_bound must be >= 0")
-    _check_context(t.pre, t.post)
+    _check_bound(star_bound, "star_bound")
+    _check_context(t)
     count = [0]
 
     def charge(n=1):
@@ -172,8 +184,6 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
             rule = {
                 One: "one", Zero: "zero", Lit: "letter", Nam: "name", Under: "under",
             }[type(e)]
-            if isinstance(e, (Nam, Under)) and e.n not in pre:
-                raise ContextError("free name %r not in pre-context %r" % (e.n, list(pre)))
             return [DerivationTree(rule, pre, e, post)]
         if isinstance(e, Sum):
             out = []
@@ -528,8 +538,6 @@ class _Evaluator:
         return out
 
     def _eval(self, e, pre, post, budget):
-        if budget < 0:
-            return frozenset()
         if isinstance(e, One):
             return frozenset(((() , (), post),))
         if isinstance(e, Zero):
@@ -539,14 +547,10 @@ class _Evaluator:
                 return frozenset()
             return frozenset((((e.s,), (), post),))
         if isinstance(e, Nam):
-            if e.n not in pre:
-                raise ContextError("free name %r not in pre-context %r" % (e.n, list(pre)))
             if budget < 1:
                 return frozenset()
             return frozenset((((e.n,), (), post),))
         if isinstance(e, Under):
-            if e.n not in pre:
-                raise ContextError("free name %r not in pre-context %r" % (e.n, list(pre)))
             if budget < 1:
                 return frozenset()
             return frozenset((_canon_outcome(*_under(e.n, pre, post, placeholder(1))),))
@@ -586,8 +590,9 @@ class _Evaluator:
 
 def schematic_words_of(e, pre=(), post=(), maxlen=6):
     """All schematic words of the expression in-context, words <= maxlen."""
+    _check_bound(maxlen, "maxlen")
     t = ContextTriple(pre, e, post)
-    _check_context(t.pre, t.post)
+    _check_context(t)
     outs = _Evaluator().eval(e, t.pre, t.post, maxlen)
     return [SchematicWord(w, c) for w, c, _ in sorted(outs, key=lambda o: (len(o[0]), repr(o)))]
 
@@ -604,10 +609,8 @@ def language_member(e, w) -> bool:
     """Word membership in the language of a closed expression."""
     _require_closed(e)
     w = check_word(w)
-    for sw in schematic_words_of(e, maxlen=len(w)):
-        if schematic_member(sw, w):
-            return True
-    return False
+    outs = _Evaluator().eval(e, (), (), len(w))
+    return any(schematic_member(SchematicWord(word, conds), w) for word, conds, _ in outs)
 
 
 def _instances(word, conds, pool):

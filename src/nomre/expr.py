@@ -318,6 +318,7 @@ class WfReport:
     issues: tuple
     free: frozenset
     nre_class: NreClass
+    free_reads: frozenset  # the free names that some $n or _$n reads
 
     @property
     def closed(self):
@@ -330,22 +331,24 @@ def check_wellformed(e):
 
     A free name has an occurrence outside every binder of that name; the
     close name of ``<$n.e>$m`` counts as a use of m resolved outside the
-    binder. Closedness itself is not a violation (open expressions are legal
+    binder. The free names that a read uses are reported apart, since a
+    context holds them in its pre-context and close names in either context.
+    Closedness itself is not a violation (open expressions are legal
     in contexts); callers that need a closed expression check
     ``report.closed``.
     """
     issues = []
-    free = set()
+    reads, closes = set(), set()
     kinds = set()  # Under once an underline occurs, Bind once a permuting binder does
 
     def go(e, bound):
         if isinstance(e, Nam):
             if e.n not in bound:
-                free.add(e.n)
+                reads.add(e.n)
         elif isinstance(e, Under):
             kinds.add(Under)
             if e.n not in bound:
-                free.add(e.n)
+                reads.add(e.n)
                 issues.append(Issue("underline-locality", render(e), "_$%s has no enclosing binder of $%s" % (e.n.key, e.n.key)))
         elif isinstance(e, (Sum, Cat)):
             go(e.l, bound)
@@ -356,14 +359,14 @@ def check_wellformed(e):
             if e.close is not e.n:
                 kinds.add(Bind)
                 if e.close not in bound:
-                    free.add(e.close)
+                    closes.add(e.close)
                     issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
             go(e.body, bound | {e.n})
 
     go(e, frozenset())
     under, perm = Under in kinds, Bind in kinds
     cls = NreClass.UP if under and perm else NreClass.U if under else NreClass.P if perm else NreClass.B
-    return WfReport(not issues, tuple(issues), frozenset(free), cls)
+    return WfReport(not issues, tuple(issues), frozenset(reads | closes), cls, frozenset(reads))
 
 
 def classify(e):

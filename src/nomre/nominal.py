@@ -197,8 +197,13 @@ def check_bounds(pool, maxlen):
             raise ValidationError("pool members must be names, got %r" % (n,))
     if len(set(pool)) != len(pool):
         raise ValidationError("pool must be repetition-free")
-    if type(maxlen) is not int or maxlen < 0:
-        raise ValidationError("maxlen must be an int >= 0, got %r" % (maxlen,))
+    _check_bound(maxlen, "maxlen")
+
+
+def _check_bound(value, what):
+    """Reject a bound that is not an int >= 0 (a bool is no int)."""
+    if type(value) is not int or value < 0:
+        raise ValidationError("%s must be an int >= 0, got %r" % (what, value))
 
 
 def check_word(w):

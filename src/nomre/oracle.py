@@ -2,18 +2,19 @@
 
 ``step`` and ``accept_reference`` run an automaton one move at a time on
 whole configurations, choosing real machine names for fresh allocations;
-``automata.accept`` must agree with them, and ``enumerate_reference``,
-which tries every word, with ``automata.enumerate_words``.
-``forest_language_enumerate`` evaluates the derivation forest of
-``calculus.ctxc_derive`` tree by tree; ``calculus.language_enumerate`` must
-agree with it on expressions whose every star iteration reads a symbol.
-Both enumeration oracles try every pool name wherever a name can go, where
-the production enumerators compute one word per renaming class and
-expand it.
-``equal_mod_renaming`` compares schematic words up to a
-renaming of placeholders. No module of the package imports this one.
+a reference run indexes the automaton's out-edges once. ``automata.accept``
+must agree with them, and ``enumerate_reference``, which tries every word,
+with ``automata.enumerate_words``. ``forest_language_enumerate`` evaluates
+the derivation forest of ``calculus.ctxc_derive`` tree by tree;
+``calculus.language_enumerate`` must agree with it on expressions whose
+every star iteration reads a symbol. Both enumeration oracles try every pool
+name wherever a name can go, where the production enumerators compute one
+word per renaming class and expand it. ``equal_mod_renaming`` compares
+schematic words up to a renaming of placeholders, trying every bijection of
+those the words leave open. No module of the package imports this one.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 import itertools
 
@@ -21,7 +22,7 @@ from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schema
 from .calculus import _cond_ok, _require_closed
 from .errors import ResourceLimitError, ValidationError
 from .expr import ContextTriple
-from .nominal import Chronicle, Letter, Name, hcv, is_placeholder, sys_name
+from .nominal import Chronicle, Name, hcv, is_placeholder, sys_name
 
 
 # ----------------------------------------------------------- run semantics
@@ -49,6 +50,14 @@ def _names(w):
     return tuple(dict.fromkeys(t for t in w if isinstance(t, Name)))
 
 
+def _index(a):
+    """Each state's register count and out-edges, in transition order."""
+    table = {s.id: (s.regs, []) for s in a.states}
+    for f, lab, t in a.transitions:
+        table[f][1].append((lab, t))
+    return table
+
+
 def step(a, c, w):
     """Single-move successors of a configuration, per the move relation.
 
@@ -56,18 +65,19 @@ def step(a, c, w):
     canonical machine name. Histories are kept in order (deduplicated),
     so results are directly comparable in tests.
     """
-    sm = a.state_map()
-    if c.state not in sm:
+    return _step(_index(a), c, tuple(w))
+
+
+def _step(table, c, w):
+    if c.state not in table:
         raise ValidationError("unknown state %r" % c.state)
-    if len(c.extant) != sm[c.state].regs:
+    regs, edges = table[c.state]
+    if len(c.extant) != regs:
         raise ValidationError("register count mismatch in configuration")
-    w = tuple(w)
     out = []
     head = w[c.pos] if c.pos < len(w) else None
     vals = hcv(c.extant)
-    for f, lab, t in a.transitions:
-        if f != c.state:
-            continue
+    for lab, t in edges:
         if lab.kind == "eps":
             out.append(Configuration(t, c.pos, c.extant))
         elif lab.kind == "letter":
@@ -78,15 +88,9 @@ def step(a, c, w):
                 out.append(Configuration(t, c.pos + 1, c.extant))
         elif lab.kind == "under":
             i = lab.index
-            if (
-                isinstance(head, Name)
-                and head not in vals
-                and head not in c.extant[i - 1].hist
-            ):
-                ext = tuple(
-                    Chronicle(ch.hist + (head,), head if j == i - 1 else ch.cv).dedup()
-                    for j, ch in enumerate(c.extant)
-                )
+            if isinstance(head, Name) and head not in vals and head not in c.extant[i - 1].hist:
+                ext = tuple(Chronicle(ch.hist + (head,), head if j == i - 1 else ch.cv).dedup()
+                            for j, ch in enumerate(c.extant))
                 out.append(Configuration(t, c.pos + 1, ext))
         elif lab.kind == "star":
             # A machine name equals no input token, so which one is chosen
@@ -99,20 +103,16 @@ def step(a, c, w):
                 ext += (Chronicle((n,), n),)
                 out.append(Configuration(t, c.pos, ext))
         elif lab.kind == "close":
-            i = lab.index
-            if not c.extant or i > len(c.extant):
-                continue
-            top_cv = c.extant[-1].cv
-            rest = c.extant[:-1]
+            i, rest = lab.index, c.extant[:-1]
             if i <= len(rest):
-                rest = rest[: i - 1] + (Chronicle(rest[i - 1].hist, top_cv),) + rest[i:]
+                rest = rest[: i - 1] + (Chronicle(rest[i - 1].hist, c.extant[-1].cv),) + rest[i:]
             out.append(Configuration(t, c.pos, rest))
     return out
 
 
 def accept_reference(a, w):
     """accept() recomputed naively on top of step(); test oracle only."""
-    w = tuple(w)
+    table, w = _index(a), tuple(w)
     finals = a.finals()
     seen = set()
     stack = [Configuration(a.initial, 0, ())]
@@ -128,7 +128,7 @@ def accept_reference(a, w):
         seen.add(key)
         if c.state in finals and c.pos == len(w) and not c.extant:
             return True
-        stack.extend(step(a, c, w))
+        stack.extend(_step(table, c, w))
     return False
 
 
@@ -136,98 +136,59 @@ def enumerate_reference(a, pool, maxlen):
     """Every word over the letters of ``a`` plus ``pool``, of length at most
     maxlen, that accept_reference accepts; test oracle only."""
     tokens = sorted(a.letters(), key=lambda l: l.sym) + list(pool)
-    return {
-        w
-        for n in range(maxlen + 1)
-        for w in itertools.product(tokens, repeat=n)
-        if accept_reference(a, w)
-    }
+    words = (w for n in range(maxlen + 1) for w in itertools.product(tokens, repeat=n))
+    return {w for w in words if accept_reference(a, w)}
 
 
 # ------------------------------------------------------ language calculus
 
-class _Bij:
-    """Backtrackable partial bijection between placeholders."""
+def _cond_atoms(c):
+    return (c.l, c.r) if isinstance(c, Neq) else (c.p,) + c.wrt
 
-    def __init__(self):
-        self.fwd = {}
-        self.bwd = {}
 
-    def bind(self, x, y):
-        if is_placeholder(x) != is_placeholder(y):
-            return False
-        if not is_placeholder(x):
-            return x is y
-        if self.fwd.get(x, y) is not y or self.bwd.get(y, x) is not x:
-            return False
-        self.fwd[x] = y
-        self.bwd[y] = x
-        return True
-
-    def snapshot(self):
-        return dict(self.fwd), dict(self.bwd)
-
-    def restore(self, snap):
-        self.fwd, self.bwd = dict(snap[0]), dict(snap[1])
+def _cond_form(c, ren):
+    """A renamed condition, with a Neq's sides and a wrt list as sets."""
+    xs = [ren.get(x, x) for x in _cond_atoms(c)]
+    if isinstance(c, Neq):
+        return Neq, frozenset(xs)
+    return type(c), c.reg if isinstance(c, Global) else 0, xs[0], frozenset(xs[1:])
 
 
 def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
-    """Structural equality up to a bijection between placeholders."""
-    a = schematic_normalize(a)
-    b = schematic_normalize(b)
+    """Structural equality up to a bijection between placeholders.
+
+    The word fixes the image of each placeholder it holds; every bijection
+    is tried on the placeholders that occur only in conditions. The renamed
+    conditions must then equal the other word's as a multiset.
+    """
+    a, b = schematic_normalize(a), schematic_normalize(b)
     if a.void or b.void:
         return a.void == b.void
-    if len(a.word) != len(b.word) or len(a.cond) != len(b.cond):
+    if len(a.word) != len(b.word):
         return False
-    bij = _Bij()
+    ren = {}
     for x, y in zip(a.word, b.word):
-        if isinstance(x, Letter) or isinstance(y, Letter):
-            if x is not y:
+        if is_placeholder(x) and is_placeholder(y):
+            if ren.setdefault(x, y) is not y:
                 return False
-        elif not bij.bind(x, y):
+        elif x is not y:
             return False
-
-    def match_sets(xs, ys):
-        if not xs:
+    image = set(ren.values())
+    if len(image) != len(ren):
+        return False
+    rest_a = list({x for c in a.cond for x in _cond_atoms(c) if is_placeholder(x)} - set(ren))
+    rest_b = list({y for c in b.cond for y in _cond_atoms(c) if is_placeholder(y)} - image)
+    if len(rest_a) != len(rest_b):
+        return False
+    want = Counter(_cond_form(c, {}) for c in b.cond)
+    for perm in itertools.permutations(rest_b):
+        full = {**ren, **dict(zip(rest_a, perm))}
+        if Counter(_cond_form(c, full) for c in a.cond) == want:
             return True
-        x = xs[0]
-        for j, y in enumerate(ys):
-            snap = bij.snapshot()
-            if bij.bind(x, y) and match_sets(xs[1:], ys[:j] + ys[j + 1 :]):
-                return True
-            bij.restore(snap)
-        return False
-
-    def match_cond(ca, cb):
-        if isinstance(ca, Neq):
-            snap = bij.snapshot()
-            if bij.bind(ca.l, cb.l) and bij.bind(ca.r, cb.r):
-                return True
-            bij.restore(snap)
-            return bij.bind(ca.l, cb.r) and bij.bind(ca.r, cb.l)
-        if isinstance(ca, Global) and ca.reg != cb.reg:
-            return False
-        if not bij.bind(ca.p, cb.p) or len(ca.wrt) != len(cb.wrt):
-            return False
-        return match_sets(list(ca.wrt), list(cb.wrt))
-
-    def match(conds_a, conds_b):
-        if not conds_a:
-            return not conds_b
-        ca = conds_a[0]
-        for j, cb in enumerate(conds_b):
-            if type(ca) is not type(cb):
-                continue
-            snap = bij.snapshot()
-            if match_cond(ca, cb) and match(conds_a[1:], conds_b[:j] + conds_b[j + 1 :]):
-                return True
-            bij.restore(snap)
-        return False
-
-    return match(list(a.cond), list(b.cond))
+    return False
 
 
-def _instances(sw, pool):
+def _all_instances(sw, pool):
     """The words binding the schematic word's placeholders to pool names
     so that its conditions hold: every binding is tried."""
     slots = tuple(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
@@ -247,7 +208,7 @@ def forest_language_enumerate(e, pool, maxlen):
     for tree in ctxc_derive(ContextTriple((), e, ()), maxlen + 1):
         sw = lngc_eval(tree)
         if not sw.void and len(sw.word) <= maxlen:
-            words.update(_instances(sw, pool))
+            words.update(_all_instances(sw, pool))
     return words
 
 

@@ -30,7 +30,7 @@ from nomre.automata import (
     to_json,
     word_sort_key,
 )
-from nomre.calculus import language_enumerate, language_member
+from nomre.calculus import language_enumerate, language_member, schematic_words_of
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import (
     ALPHABET,
@@ -567,7 +567,7 @@ def test_engine_agrees_with_reference_on_long_words_with_repeated_names():
     exprs = [P(t) for t in texts] + corpus_of_classes(seed=15, total=200)[::10]
     for e in exprs:
         a = compile_expr(e)
-        for w in _long_words(rng, a, 120):
+        for w in _long_words(rng, a, 150):
             assert accept(a, w) == accept_reference(a, w), (render(e), w)
 
 
@@ -688,6 +688,9 @@ def test_enumerations_reject_bad_bounds(pool3):
             language_enumerate(e, pool, maxlen)
         with pytest.raises(ValidationError):
             equiv_bounded(a, a, pool, maxlen)
+        if pool is pool3:  # a good pool, so the bound is at fault
+            with pytest.raises(ValidationError, match="maxlen"):
+                schematic_words_of(e, maxlen=maxlen)
     # reserved names and placeholders are names like any other
     want = {(A, B), (A, B, S0), (A, B, P1)}
     assert enumerate_words(a, (S0, P1), 3) == language_enumerate(e, (S0, P1), 3) == want

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,7 @@ from nomre.nominal import (
     Chronicle,
     Letter,
     chronicle,
+    is_placeholder,
     name,
     natural_chronicle,
     placeholder,
@@ -87,11 +89,13 @@ def test_ctxc_star_unfolding_counts():
     trees = ctxc_derive(t, 2)
     assert [tr.h for tr in trees] == [0, 1, 2]
     assert len(trees) == 3
-    # a negative bound is an error, not a forest without the star's trees
-    with pytest.raises(ValidationError, match="star_bound"):
-        ctxc_derive(t, -1)
-    with pytest.raises(ValidationError, match="star_bound"):
-        derivation_dump(Star(Under(n)), star_bound=-1, pre=(n,), post=natural_chronicle((n,)))
+    # a negative bound is an error, not a forest without the star's trees,
+    # and so is a bound that is not an int (a bool is none)
+    for bad in (-1, "2", 1.5, True):
+        with pytest.raises(ValidationError, match="star_bound"):
+            ctxc_derive(t, bad)
+        with pytest.raises(ValidationError, match="star_bound"):
+            derivation_dump(Star(Under(n)), star_bound=bad, pre=(n,), post=natural_chronicle((n,)))
 
 
 def test_ctxc_forest_cap():
@@ -123,6 +127,63 @@ def test_lngc_appendix_golden():
     expected = flatten_to_neqs(_big_expected_word_and_neqs())
     assert len(flat.cond) == 13
     assert equal_mod_renaming(flat, expected)
+
+
+def _placeholders(sw):
+    """Every placeholder of sw, those of the word first."""
+    atoms = [sw.word] + [(c.l, c.r) if isinstance(c, Neq) else (c.p,) + c.wrt for c in sw.cond]
+    return list(dict.fromkeys(x for x in itertools.chain(*atoms) if is_placeholder(x)))
+
+
+def _subst(sw, ren):
+    r = lambda x: ren.get(x, x)
+    conds = tuple(Neq(r(c.l), r(c.r)) if isinstance(c, Neq)
+                  else replace(c, p=r(c.p), wrt=tuple(map(r, c.wrt))) for c in sw.cond)
+    return SchematicWord(tuple(map(r, sw.word)), conds)
+
+
+def _mutants(sw):
+    """Copies of sw that no renaming of placeholders makes equal to it: a
+    condition dropped, a Global's register raised, a wrt name removed, two
+    word placeholders swapped in the word, two placeholders merged."""
+    conds = list(sw.cond)
+    for i, c in enumerate(conds):
+        yield SchematicWord(sw.word, tuple(conds[:i] + conds[i + 1:]))
+        if isinstance(c, Global):
+            yield SchematicWord(sw.word, tuple(conds[:i] + [replace(c, reg=c.reg + 1)] + conds[i + 1:]))
+        for j in range(0 if isinstance(c, Neq) else len(c.wrt)):
+            fewer = replace(c, wrt=c.wrt[:j] + c.wrt[j + 1:])
+            yield SchematicWord(sw.word, tuple(conds[:i] + [fewer] + conds[i + 1:]))
+    slots = list(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
+    for x, y in itertools.combinations(slots, 2):
+        yield SchematicWord(tuple({x: y, y: x}.get(t, t) for t in sw.word), sw.cond)
+    for x, y in itertools.combinations(_placeholders(sw), 2):
+        yield _subst(sw, {y: x})
+
+
+def test_equal_mod_renaming_tells_renamed_copies_from_mutants():
+    rng = random.Random(16)
+    for sw in (_diamond_expected(), _big_expected_structured()):
+        phs = _placeholders(sw)
+        for _ in range(5):
+            # placeholders permuted, conditions shuffled, Neq sides swapped,
+            # wrt lists reordered
+            images = [placeholder(40 + i) for i in range(len(phs))]
+            rng.shuffle(images)
+            copy = _subst(sw, dict(zip(phs, images)))
+            conds = [Neq(c.r, c.l) if isinstance(c, Neq) else replace(c, wrt=tuple(rng.sample(c.wrt, len(c.wrt))))
+                     for c in copy.cond]
+            rng.shuffle(conds)
+            copy = SchematicWord(copy.word, tuple(conds))
+            flat = flatten_to_neqs(copy)
+            flat = SchematicWord(flat.word, tuple(Neq(c.r, c.l) for c in reversed(flat.cond)))
+            assert equal_mod_renaming(sw, copy) and equal_mod_renaming(copy, sw)
+            assert equal_mod_renaming(flatten_to_neqs(sw), flat)
+            mutants = list(_mutants(copy))
+            assert len(mutants) > 2 * len(sw.cond)
+            for bad in mutants:
+                assert not equal_mod_renaming(sw, bad), bad
+                assert not equal_mod_renaming(bad, sw), bad
 
 
 def test_lngc_zero_annihilates(pool3):
@@ -262,13 +323,15 @@ def test_every_entry_point_rejects_a_malformed_context(text, pre, post):
         compile_in_context(ContextTriple(pre, e, post))
 
 
-@pytest.mark.parametrize("text", ["$z", "_$z"])
+@pytest.mark.parametrize("text", ["$z", "_$z", "0 $z", "a $z", "$z*"])
 def test_a_read_outside_the_context_is_rejected(text):
+    # whatever the bound, and whether or not a derivation reaches the read
     e, pre, post = P(text), (_N,), natural_chronicle((_N,))
-    with pytest.raises(ContextError, match=r"free name \$z"):
-        schematic_words_of(e, pre=pre, post=post, maxlen=2)
-    with pytest.raises(ContextError, match=r"free name \$z"):
-        ctxc_derive(ContextTriple(pre, e, post), 2)
+    for bound in (0, 1, 2):
+        with pytest.raises(ContextError, match=r"free name \$z"):
+            schematic_words_of(e, pre=pre, post=post, maxlen=bound)
+        with pytest.raises(ContextError, match=r"free name \$z"):
+            ctxc_derive(ContextTriple(pre, e, post), bound)
     with pytest.raises(CompileError, match=r"free name \$z"):
         compile_in_context(ContextTriple(pre, e, post))
 
@@ -288,6 +351,12 @@ def test_close_name_must_be_a_current_value_in_both_semantics():
                 if lab.kind == "close"]
     assert close.index == 1
     assert schematic_words_of(e, pre=(m,), post=t.post, maxlen=1)
+    # a close name that neither context holds fails whatever the bound
+    for text in ("0 <$y.$y>$z", "(<$y.$y>$z)*"):
+        with pytest.raises(ContextError, match=r"close name \$z"):
+            schematic_words_of(P(text), maxlen=0)
+        with pytest.raises(ContextError, match=r"close name \$z"):
+            derivation_dump(P(text), star_bound=0)
 
 
 def test_language_of_an_open_or_ill_formed_expression_is_an_error(pool3):
