@@ -523,6 +523,11 @@ def from_json(text):
     return a
 
 
+def _quoted(text):
+    """A DOT string: text in double quotes, with " and \\ escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(a):
     """Graphviz rendering; states of one layer share a rank."""
     lines = ["digraph cda {", "  rankdir=LR;", '  hidden [shape=point, style=invis];']
@@ -530,13 +535,13 @@ def to_dot(a):
     for s in a.states:
         layers.setdefault(s.regs, []).append(s)
     for k in sorted(layers):
-        ids = " ".join('"%s";' % s.id for s in layers[k])
+        ids = " ".join("%s;" % _quoted(s.id) for s in layers[k])
         lines.append("  { rank=same; %s }" % ids)
     for s in a.states:
         shape = "doublecircle" if s.final else "circle"
-        lines.append('  "%s" [shape=%s, label="%s|%d"];' % (s.id, shape, s.id, s.regs))
-    lines.append('  hidden -> "%s";' % a.initial)
+        lines.append("  %s [shape=%s, label=%s];" % (_quoted(s.id), shape, _quoted("%s|%d" % (s.id, s.regs))))
+    lines.append("  hidden -> %s;" % _quoted(a.initial))
     for f, l, t in a.transitions:
-        lines.append('  "%s" -> "%s" [label="%r"];' % (f, t, l))
+        lines.append("  %s -> %s [label=%s];" % (_quoted(f), _quoted(t), _quoted(repr(l))))
     lines.append("}")
     return "\n".join(lines)

@@ -39,6 +39,7 @@ from .expr import (
     Zero,
     apply_perm_expr,
     check_wellformed,
+    context_violation,
     render,
 )
 from .nominal import (
@@ -131,11 +132,6 @@ def _binder_subcontext(e, pre, post):
     if e.close is e.n:
         sub_post = tuple(c.extend((x,)) for c in post) + (Chronicle((x,), x),)
     else:
-        if e.close not in hcv(post):
-            raise ContextError(
-                "close name %r is not a current value of the post-context of `%s`"
-                % (e.close, render(e))
-            )
         swap = transpose(e.close, x)
         sub_post = tuple(Chronicle(c.hist + (x,), swap(c.cv)) for c in post) + (
             Chronicle((x, e.close), e.close),
@@ -144,24 +140,15 @@ def _binder_subcontext(e, pre, post):
 
 
 def _check_context(t):
-    """The calculus's own rules on top of the ContextTriple contract: no ~k
-    or *k in a context, since the calculus draws its binder atoms and
-    placeholders from those supplies; every free read in the pre-context;
-    every free close name in one of the two contexts. They are checked
-    before any derivation starts, so no bound and no sibling subterm decides
-    whether a violation is found. Whether a close name is a current value
-    where its binder closes is checked as each binder is derived."""
+    """No ~k or *k in a context, since the calculus draws its binder atoms
+    and placeholders from those supplies, then expr.context_violation: both
+    before any derivation, so no bound or sibling subterm decides them."""
     for x in itertools.chain(t.pre, _atoms((), (), t.post)):
         if isinstance(x, Name) and x.kind != Name.K_USER:
             raise ContextError("context name %r is reserved for the calculus" % (x,))
-    rep = check_wellformed(t.payload)
-    reads = sorted(rep.free_reads - set(t.pre), key=repr)
-    if reads:
-        raise ContextError("free name %r not in pre-context %r" % (reads[0], list(t.pre)))
-    # a name both read and closed free is in the pre-context by now
-    closes = sorted(rep.free - set(t.pre) - set(hcv(t.post)), key=repr)
-    if closes:
-        raise ContextError("close name %r is in neither context" % (closes[0],))
+    why = context_violation(t)
+    if why:
+        raise ContextError(why)
 
 
 _FOREST_CAP = 20000

@@ -20,15 +20,13 @@ restarts from.
 
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
 from .errors import CompileError
-from .expr import Bind, Cat, ContextTriple, Lit, Nam, One, Star, Sum, Under, Zero, check_wellformed, render
+from .expr import Bind, Cat, ContextTriple, Lit, Nam, One, Star, Sum, Under, Zero, context_violation
 from .nominal import hcv
 
 
 def _level(pre, n):
-    """The position of n's innermost binding in pre."""
-    if n not in pre:
-        raise CompileError("free name %r has no register in context %r" % (n, list(pre)))
-    return len(pre) - 1 - pre[::-1].index(n)
+    """The level of n's innermost binding in pre, or n if pre does not bind it."""
+    return len(pre) - 1 - pre[::-1].index(n) if n in pre else n
 
 
 class _Builder:
@@ -94,12 +92,7 @@ class _Builder:
             if e.close is e.n:
                 sub_vals = vals + (k,)
             else:
-                m = _level(pre, e.close) if e.close in pre else e.close
-                if m not in vals:
-                    raise CompileError(
-                        "close name %r is not a current value of the post-context of `%s`"
-                        % (e.close, render(e))
-                    )
+                m = _level(pre, e.close)
                 sub_vals = tuple(k if v == m else v for v in vals) + (m,)
             close_ix = sub_vals.index(k) + 1
             qs = self.state(k)
@@ -113,22 +106,18 @@ class _Builder:
 
 
 def compile_in_context(t: ContextTriple) -> Cda:
-    """Build the automaton in-context for a context triple over an expression."""
-    level = {n: i for i, n in enumerate(t.pre)}
+    """Build the automaton in-context for a context triple over an expression,
+    or raise CompileError if it is not legal there (expr.context_violation)."""
+    why = context_violation(t)
+    if why:
+        raise CompileError(why)
     b = _Builder()
-    init, finals = b.build(t.payload, t.pre, tuple(level.get(v, v) for v in hcv(t.post)))
+    init, finals = b.build(t.payload, t.pre, tuple(_level(t.pre, v) for v in hcv(t.post)))
     finals = set(finals)
     states = [State(sid, regs, sid in finals) for sid, regs in b.states]
     return Cda(states, init, b.transitions)
 
 
 def compile_expr(e) -> Cda:
-    """Compile a closed well-formed expression to an automaton."""
-    rep = check_wellformed(e)
-    if not rep.ok:
-        raise CompileError("ill-formed expression: %s" % "; ".join(map(str, rep.issues)))
-    if not rep.closed:
-        raise CompileError(
-            "expression is open; free names: %s" % ", ".join(sorted(map(repr, rep.free)))
-        )
+    """Compile a closed expression (one legal in the empty context)."""
     return compile_in_context(ContextTriple((), e, ()))

@@ -114,6 +114,25 @@ class ContextTriple:
             raise ContextError("post-context must be an extant chronicle, one per pre-context name: %r" % (post,))
 
 
+def context_violation(t):
+    """Why the expression of a ContextTriple is not legal in its context, or
+    None. A free read must be in the pre-context. A free close name must be
+    a current value where its binder closes: in the pre-context after a
+    Cat's left or inside a star, in the post-context in tail position (a
+    star's last iteration is, so inside a star in both). The empty context
+    makes exactly the closed expressions legal."""
+    rep = check_wellformed(t.payload)
+    for names, held, why in (
+        (rep.free_reads, t.pre, "free name %r not in pre-context %r"),
+        (rep.closes_in_pre, t.pre, "close name %r is not in the pre-context %r"),
+        (rep.closes_in_post, hcv(t.post), "close name %r is not a current value of the post-context %r"),
+    ):
+        missing = names.difference(held)
+        if missing:
+            return why % (min(missing, key=repr), list(held))
+    return None
+
+
 class NreClass(enum.Enum):
     B = "b-NRE"
     P = "p-NRE"
@@ -319,6 +338,8 @@ class WfReport:
     free: frozenset
     nre_class: NreClass
     free_reads: frozenset  # the free names that some $n or _$n reads
+    closes_in_pre: frozenset  # free close names of a binder after a Cat's left or in a star
+    closes_in_post: frozenset  # free close names of a binder in tail position
 
     @property
     def closed(self):
@@ -331,17 +352,18 @@ def check_wellformed(e):
 
     A free name has an occurrence outside every binder of that name; the
     close name of ``<$n.e>$m`` counts as a use of m resolved outside the
-    binder. The free names that a read uses are reported apart, since a
-    context holds them in its pre-context and close names in either context.
+    binder. The free names that a read uses are reported apart, and so is
+    where each free close name must be held (see ``context_violation``).
     Closedness itself is not a violation (open expressions are legal
     in contexts); callers that need a closed expression check
     ``report.closed``.
     """
     issues = []
-    reads, closes = set(), set()
+    reads, closes = set(), {"pre": set(), "post": set()}
     kinds = set()  # Under once an underline occurs, Bind once a permuting binder does
 
-    def go(e, bound):
+    def go(e, bound, where):
+        # where: the contexts that must hold a free close name here
         if isinstance(e, Nam):
             if e.n not in bound:
                 reads.add(e.n)
@@ -351,22 +373,24 @@ def check_wellformed(e):
                 reads.add(e.n)
                 issues.append(Issue("underline-locality", render(e), "_$%s has no enclosing binder of $%s" % (e.n.key, e.n.key)))
         elif isinstance(e, (Sum, Cat)):
-            go(e.l, bound)
-            go(e.r, bound)
+            go(e.l, bound, ("pre",) if isinstance(e, Cat) else where)
+            go(e.r, bound, where)
         elif isinstance(e, Star):
-            go(e.e, bound)
+            go(e.e, bound, ("pre", "post") if "post" in where else ("pre",))
         elif isinstance(e, Bind):
             if e.close is not e.n:
                 kinds.add(Bind)
                 if e.close not in bound:
-                    closes.add(e.close)
+                    for ctx in where:
+                        closes[ctx].add(e.close)
                     issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
-            go(e.body, bound | {e.n})
+            go(e.body, bound | {e.n}, where)
 
-    go(e, frozenset())
+    go(e, frozenset(), ("post",))
     under, perm = Under in kinds, Bind in kinds
     cls = NreClass.UP if under and perm else NreClass.U if under else NreClass.P if perm else NreClass.B
-    return WfReport(not issues, tuple(issues), frozenset(reads | closes), cls, frozenset(reads))
+    pre, post = frozenset(closes["pre"]), frozenset(closes["post"])
+    return WfReport(not issues, tuple(issues), frozenset(reads) | pre | post, cls, frozenset(reads), pre, post)
 
 
 def classify(e):

@@ -158,8 +158,9 @@ def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
     """Structural equality up to a bijection between placeholders.
 
     The word fixes the image of each placeholder it holds; every bijection
-    is tried on the placeholders that occur only in conditions. The renamed
-    conditions must then equal the other word's as a multiset.
+    is tried on the placeholders that occur only in conditions, once the
+    conditions agree with those placeholders masked. The renamed conditions
+    must then equal the other word's as a multiset.
     """
     a, b = schematic_normalize(a), schematic_normalize(b)
     if a.void or b.void:
@@ -179,6 +180,10 @@ def equal_mod_renaming(a: SchematicWord, b: SchematicWord) -> bool:
     rest_a = list({x for c in a.cond for x in _cond_atoms(c) if is_placeholder(x)} - set(ren))
     rest_b = list({y for c in b.cond for y in _cond_atoms(c) if is_placeholder(y)} - image)
     if len(rest_a) != len(rest_b):
+        return False
+    # masking the open placeholders (to None) commutes with every bijection of them
+    if (Counter(_cond_form(c, {**ren, **dict.fromkeys(rest_a)}) for c in a.cond)
+            != Counter(_cond_form(c, dict.fromkeys(rest_b)) for c in b.cond)):
         return False
     want = Counter(_cond_form(c, {}) for c in b.cond)
     for perm in itertools.permutations(rest_b):

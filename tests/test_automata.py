@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -436,6 +437,22 @@ def test_dot_lses_layout():
     assert len(nodes) == 5
     assert len(ranks) == 2
     assert 'label="u1"' in dot and 'label="close1"' in dot and 'label="*"' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # from_json accepts any string as a state id or a letter; each quoted
+    # string of the DOT output is one well-formed DOT string
+    ids, sym = ('q"0', "q\\1"), 'x"y'
+    a = from_json(to_json(Cda((State(ids[0], 0), State(ids[1], 0, True)), ids[0],
+                              ((ids[0], lab_letter(sym), ids[1]),))))
+    q = r'"((?:[^"\\]|\\.)*)"'
+    forms = [r"  \{ rank=same; %s; %s; \}" % (q, q), r"  %s \[shape=\w+, label=%s\];" % (q, q),
+             r"  hidden -> %s;" % q, r"  %s -> %s \[label=%s\];" % (q, q, q)]
+    strings = []
+    for line in to_dot(a).splitlines()[3:-1]:
+        (m,) = [m for m in (re.fullmatch(f, line) for f in forms) if m]
+        strings += [re.sub(r"\\(.)", r"\1", g) for g in m.groups()]
+    assert strings == [*ids, ids[0], ids[0] + "|0", ids[1], ids[1] + "|0", ids[0], *ids, sym]
 
 
 def test_register_count_discipline_and_close_positions():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,7 @@ from nomre.calculus import (
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
 from nomre.errors import CompileError, ContextError, ResourceLimitError, ValidationError
-from nomre.expr import ONE, Bind, Cat, Nam, Star, Under, parse, render
+from nomre.expr import ONE, Bind, Cat, Lit, Nam, Star, Sum, Under, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import (
     Chronicle,
@@ -184,6 +185,21 @@ def test_equal_mod_renaming_tells_renamed_copies_from_mutants():
             for bad in mutants:
                 assert not equal_mod_renaming(sw, bad), bad
                 assert not equal_mod_renaming(bad, sw), bad
+
+
+def test_equal_mod_renaming_masks_condition_only_placeholders_first():
+    # nine placeholders occur only in conditions, so 9! bijections, all of
+    # which fail against a mutant that drops a condition or moves a Global to
+    # another register; with those placeholders masked the conditions differ
+    p, qs = placeholder(1), [placeholder(i) for i in range(2, 11)]
+    conds = [Local(q, (p,)) for q in qs] + [Global(q, 1, (p, r)) for q, r in zip(qs[1:], qs)]
+    sw = SchematicWord((p,), tuple(conds))
+    assert equal_mod_renaming(sw, sw)
+    moved = conds[:-1] + [replace(conds[-1], reg=2)]
+    for bad in (SchematicWord((p,), tuple(conds[1:])), SchematicWord((p,), tuple(moved))):
+        start = time.perf_counter()
+        assert not equal_mod_renaming(sw, bad) and not equal_mod_renaming(bad, sw)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_lngc_zero_annihilates(pool3):
@@ -357,6 +373,98 @@ def test_close_name_must_be_a_current_value_in_both_semantics():
             schematic_words_of(P(text), maxlen=0)
         with pytest.raises(ContextError, match=r"close name \$z"):
             derivation_dump(P(text), star_bound=0)
+
+
+def _verdicts(t):
+    """Whether each entry point accepts the triple (True) or rejects it
+    with its error class (False)."""
+    calls = [lambda: compile_in_context(t)]
+    calls += [lambda b=b: ctxc_derive(t, b) for b in (0, 1, 2)]
+    calls += [lambda n=n: schematic_words_of(t.payload, t.pre, t.post, maxlen=n) for n in (0, 2, 4)]
+    calls.append(lambda: derivation_dump(t.payload, star_bound=0, pre=t.pre, post=t.post))
+    out = []
+    for call in calls:
+        try:
+            call()
+            out.append(True)
+        except (CompileError, ContextError):
+            out.append(False)
+    return out
+
+
+_Z = name("z")
+_AT_Z = (Chronicle((_M, _Z), _Z),)  # pre ($m,), post {$m $z @ $z}
+
+
+@pytest.mark.parametrize("text, legal", [
+    ("<$n.$n>$m a", True),  # after a Cat's left: the pre-context's names
+    ("<$n.$n>$z a", False),
+    ("(<$n.$n>$z)* <$k.$k>$z", False),  # inside a star: both contexts
+    ("(<$n.$n>$m)*", False),
+    ("0 <$n.$n>$z", True),  # in tail position: the post's current values
+    ("0 <$n.$n>$m", False),
+    ("<$k.(<$n.$n>$k)* a>", True),  # bound by an enclosing binder: always
+    ("<$k.<$n.$n>$k a>", True),
+], ids=["cat-left", "cat-left-post-only", "star-pre-missing", "star-post-missing",
+        "tail", "tail-pre-only", "bound-in-star", "bound-after-cat"])
+def test_close_name_legality_by_position(text, legal):
+    assert _verdicts(ContextTriple((_M,), P(text), _AT_Z)) == [legal] * 8
+
+
+_CTX = [name(x) for x in ("m", "z", "w")]
+_BINDERS = [name(x) for x in ("x", "y", "k")]
+
+
+def _open_nre(rng, pre, env=(), budget=5):
+    """A random expression with binder nesting <= 3 whose reads are mostly
+    of pre or of its enclosing binders, and whose permuting binders close on
+    an enclosing binder or on one of $m $z $w."""
+    picks = ["lit", "one"]
+    if budget > 1:
+        picks += ["sum", "cat", "cat", "star"]
+    if env or pre:
+        picks += ["name", "under"]
+    if len(env) < 3:
+        picks += ["bind"] * 3
+    pick = rng.choice(picks)
+    if pick in ("lit", "one"):
+        return Lit(rng.choice((A, Letter("b")))) if pick == "lit" else ONE
+    if pick in ("name", "under"):
+        n = rng.choice(_CTX if rng.random() < 0.05 else list(env) + list(pre))
+        return Nam(n) if pick == "name" else Under(n)
+    if pick == "star":
+        return Star(_open_nre(rng, pre, env, budget - 1))
+    if pick in ("sum", "cat"):
+        cut = budget // 2
+        l, r = _open_nre(rng, pre, env, cut), _open_nre(rng, pre, env, budget - cut)
+        return Sum(l, r) if pick == "sum" else Cat(l, r)
+    n = _BINDERS[len(env)]
+    close = n if rng.random() < 0.4 else rng.choice(list(env) + _CTX)
+    return Bind(n, _open_nre(rng, pre, env + (n,), budget - 1), close)
+
+
+def test_every_entry_point_agrees_on_context_legality():
+    # the compiler and both calculus evaluators, at every bound, give one
+    # verdict on a triple, however far a derivation gets
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(3000):
+        pre = tuple(rng.sample(_CTX, rng.randint(0, 2)))
+        post, taken = [], set(pre)
+        for c in natural_chronicle(pre):
+            if rng.random() < 0.5:
+                cv = rng.choice([n for n in _CTX + [name("u")] if n not in taken])
+                taken.add(cv)
+                c = Chronicle(c.hist + (cv,), cv)
+            post.append(c)
+        t = ContextTriple(pre, _open_nre(rng, pre, budget=rng.randint(2, 6)), tuple(post))
+        try:
+            verdicts = _verdicts(t)
+        except ResourceLimitError:
+            continue
+        assert len(set(verdicts)) == 1, (t, verdicts)
+        seen.add(verdicts[0])
+    assert seen == {True, False}
 
 
 def test_language_of_an_open_or_ill_formed_expression_is_an_error(pool3):
