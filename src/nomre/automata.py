@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import enum
 import json
 
-from .errors import ResourceLimitError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 from .nominal import Letter, _orbit_words, atom_key, check_bounds, check_word
 
 
@@ -47,10 +47,11 @@ class Label:
         if not self.shaped():
             return "Label(%r, letter=%r, index=%r)" % (self.kind, self.letter, self.index)
         if self.kind == "letter":
-            # a letter spelled like another label is quoted, so that the two print apart
+            # a letter spelled like another label, or like a quoted letter, is
+            # quoted, so that no two labels print alike
             sym = self.letter.sym
             head = sym.rstrip("0123456789")
-            if sym in ("eps", "*") or (head != sym and head in ("r", "u", "close")):
+            if sym in ("eps", "*") or sym[:1] in ("'", '"') or (head != sym and head in ("r", "u", "close")):
                 return repr(sym)
             return sym
         if self.index is None:
@@ -159,9 +160,6 @@ class Cda:
     def letters(self):
         return frozenset(l.letter for _, l, _ in self.transitions if l.kind == "letter")
 
-    def max_regs(self):
-        return max((s.regs for s in self.states), default=0)
-
 
 class CdaClass(enum.Enum):
     A = "A#"
@@ -211,8 +209,8 @@ def _assign(regs, i, token, depth):
     return tuple(out)
 
 
-# a forgotten current value (equal to no token), the token of names read once, a cache miss
-_DEAD, _ONCE, _MISS = object(), object(), object()
+# a forgotten current value (equal to no token), the token of names read once
+_DEAD, _ONCE = object(), object()
 
 
 def _forget(regs, token):
@@ -244,7 +242,6 @@ class _Engine:
         if a.state_map()[a.initial].regs:
             raise ValidationError("only a closed automaton runs: the initial state is not on layer 0")
         self.finals = a.finals()
-        self.cap = 20 * max(1, len(a.states)) * (a.max_regs() + 1)
         self.by_state = {s.id: {"eps": [], "star": [], "close": [], "letter": {}, "reg": {}, "under": {}} for s in a.states}
         for f, lab, t in a.transitions:
             slot = self.by_state[f]
@@ -259,14 +256,12 @@ class _Engine:
         self.steps = {}
 
     def closure(self, configs):
-        """All configs reachable via non-consuming moves (eps, *, close)."""
+        """All configs reachable via non-consuming moves (eps, *, close).
+        These bring no new name into a configuration and a state fixes its
+        register count, so finitely many are reachable: the loop ends."""
         out = set(configs)
         frontier = out
-        depth = 0
         while frontier:
-            depth += 1
-            if depth > self.cap:
-                raise ResourceLimitError("non-consuming move chain exceeded %d steps" % self.cap)
             nxt = []
             for state, regs in frontier:
                 slot = self.by_state[state]
@@ -321,14 +316,14 @@ class _Engine:
         return nxt
 
     def step(self, macro, token, keep):
-        """closure(consume(macro, token)), forgetting token unless keep, or
-        None where no run reads the token; cached for the engine's one call."""
-        got = self.steps.get((macro, token, keep), _MISS)
-        if got is _MISS:
+        """closure(consume(macro, token)), forgetting token unless keep; empty
+        where no run reads the token. Cached for the engine's one call."""
+        got = self.steps.get((macro, token, keep))
+        if got is None:
             stepped = self.consume(macro, token)
             if not keep:
                 stepped = [(state, _forget(regs, token)) for state, regs in stepped]
-            got = self.steps[macro, token, keep] = self.closure(stepped) if stepped else None
+            got = self.steps[macro, token, keep] = self.closure(stepped) if stepped else frozenset()
         return got
 
     def accepting(self, configs):
@@ -355,7 +350,7 @@ def accept(a, w):
         else:
             eng.steps.clear()
             macro = eng.step(macro, token, last[token] != i)
-        if macro is None:
+        if not macro:
             return False
     return eng.accepting(macro)
 
@@ -384,7 +379,7 @@ def _representatives(a, pool, maxlen):
         if remaining > 0:
             for tok in letters + pool[: used + 1]:
                 nxt = eng.step(macro, tok, True)
-                if nxt is None:
+                if not nxt:
                     continue
                 fresh = used < len(pool) and tok is pool[used]
                 for suf in go(nxt, remaining - 1, used + fresh):

@@ -38,7 +38,6 @@ from .expr import (
     Under,
     Zero,
     apply_perm_expr,
-    check_wellformed,
     context_violation,
     render,
 )
@@ -122,11 +121,11 @@ class DerivationTree:
     post: tuple
     children: tuple = ()
     h: int | None = None
-    scratch: Name | None = None
 
 
 def _binder_subcontext(e, pre, post):
-    """Fresh atom, renamed body, extended contexts for a binder node."""
+    """Renamed body and extended contexts for a binder node. The fresh atom
+    ~len(pre) stands for the bound name and ends the extended pre-context."""
     x = sys_name(len(pre))
     body = apply_perm_expr(transpose(e.n, x), e.body)
     if e.close is e.n:
@@ -136,7 +135,7 @@ def _binder_subcontext(e, pre, post):
         sub_post = tuple(Chronicle(c.hist + (x,), swap(c.cv)) for c in post) + (
             Chronicle((x, e.close), e.close),
         )
-    return x, body, pre + (x,), sub_post
+    return body, pre + (x,), sub_post
 
 
 def _check_context(t):
@@ -203,11 +202,10 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
             return out
         if isinstance(e, Bind):
             rule = "bind=" if e.close is e.n else "bind!="
-            x, body, spre, spost = _binder_subcontext(e, pre, post)
             out = []
-            for c in go(body, spre, spost):
+            for c in go(*_binder_subcontext(e, pre, post)):
                 charge()
-                out.append(DerivationTree(rule, pre, e, post, (c,), scratch=x))
+                out.append(DerivationTree(rule, pre, e, post, (c,)))
             return out
         raise TypeError(e)
 
@@ -253,15 +251,15 @@ def _subst(f, word, conds, post=()):
 def _under(n, pre, post, p):
     """The underline rule: p is locally fresh and fresh for n's register."""
     i = pre.index(n) + 1
-    conds = (Local(p, pre), Global(p, i, natural_chronicle(pre)[i - 1].hist))
+    conds = (Local(p, pre), Global(p, i, pre[i - 1:]))
     swap = transpose(n, p)
     return (p,), conds, tuple(Chronicle(c.hist + (p,), swap(c.cv)).dedup() for c in post)
 
 
-def _bind(x, sub, pre, q):
-    """The binder rule: the body's scratch atom x becomes the fresh q and
-    its register is dropped."""
-    swap = transpose(x, q)
+def _bind(sub, pre, q):
+    """The binder rule: the body's fresh atom ~len(pre) becomes the fresh q
+    and its register is dropped."""
+    swap = transpose(sys_name(len(pre)), q)
     word, conds, post = _subst(swap, sub[0], sub[1], sub[2][:-1])
     return word, (Local(q, pre),) + conds, tuple(c.dedup() for c in post)
 
@@ -320,7 +318,7 @@ def lngc_results(tree: DerivationTree) -> dict:
         elif r == "cat":
             res = _concat(subs[0], subs[1], C, 0)
         elif r in ("bind=", "bind!="):
-            res = _bind(node.scratch, subs[0], C, placeholder(next(counter)))
+            res = _bind(subs[0], C, placeholder(next(counter)))
         else:
             raise ValueError("unknown rule %r" % r)
         results[node] = (VOID, E) if res is None else (SchematicWord(res[0], res[1]), res[2])
@@ -567,36 +565,34 @@ class _Evaluator:
                 acc |= frontier
             return frozenset(acc)
         if isinstance(e, Bind):
-            x, body, spre, spost = _binder_subcontext(e, pre, post)
+            body, spre, spost = _binder_subcontext(e, pre, post)
             return frozenset(
-                _canon_outcome(*_bind(x, sub, pre, placeholder(_nph(sub) + 1)))
+                _canon_outcome(*_bind(sub, pre, placeholder(_nph(sub) + 1)))
                 for sub in self.eval(body, spre, spost, budget)
             )
         raise TypeError(e)
 
 
+def _outcomes(e, budget, pre=(), post=()):
+    """The fused evaluator's outcomes of e in its context, words <= budget;
+    the context is checked first, and the empty one admits exactly the
+    closed, well-formed expressions."""
+    t = ContextTriple(pre, e, post)
+    _check_context(t)
+    return _Evaluator().eval(e, t.pre, t.post, budget)
+
+
 def schematic_words_of(e, pre=(), post=(), maxlen=6):
     """All schematic words of the expression in-context, words <= maxlen."""
     _check_bound(maxlen, "maxlen")
-    t = ContextTriple(pre, e, post)
-    _check_context(t)
-    outs = _Evaluator().eval(e, t.pre, t.post, maxlen)
+    outs = _outcomes(e, maxlen, pre, post)
     return [SchematicWord(w, c) for w, c, _ in sorted(outs, key=lambda o: (len(o[0]), repr(o)))]
-
-
-def _require_closed(e):
-    rep = check_wellformed(e)
-    if not rep.ok:
-        raise ContextError("ill-formed expression: %s" % "; ".join(map(str, rep.issues)))
-    if not rep.closed:
-        raise ContextError("expression must be closed, free: %r" % sorted(map(repr, rep.free)))
 
 
 def language_member(e, w) -> bool:
     """Word membership in the language of a closed expression."""
-    _require_closed(e)
     w = check_word(w)
-    outs = _Evaluator().eval(e, (), (), len(w))
+    outs = _outcomes(e, len(w))
     return any(schematic_member(SchematicWord(word, conds), w) for word, conds, _ in outs)
 
 
@@ -632,11 +628,10 @@ def _instances(word, conds, pool):
 
 def language_enumerate(e, pool, maxlen):
     """The bounded language of a closed expression over the given name pool."""
-    _require_closed(e)
     pool = tuple(pool)
     check_bounds(pool, maxlen)
     reps = set()
-    for word, conds, _ in _Evaluator().eval(e, (), (), maxlen):
+    for word, conds, _ in _outcomes(e, maxlen):
         reps.update(_instances(word, conds, pool))
     return _orbit_words(reps, pool)
 

@@ -8,7 +8,6 @@ the round-trip and differential suites.
 """
 
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
-from .expr import parse
 from .nominal import Letter, Name, name
 
 ALPHABET = ("a", "b", "d")
@@ -28,10 +27,6 @@ SUCC_DISTINCT_TEXT = "<$m. ( <$n.$n>$m )* >"
 DIAMOND_TEXT = "<$n. _$n <$m. <$l. $m >$m > _$n >"
 # The appendix-grade example with two underlines and a permuting close.
 BIG_TEXT = "<$n. $n <$m. $m <$l.$l>$m $m <$l. _$n $l _$m > > >"
-
-
-def expr(text):
-    return parse(text, ALPHABET)
 
 
 def all_expr_texts():

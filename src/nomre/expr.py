@@ -10,8 +10,9 @@ Concrete grammar (whitespace-insensitive):
              | '(' expr ')'
 
 Letters are bare identifiers from the declared finite alphabet; a maximal
-identifier not itself in the alphabet is split greedily into alphabet
-symbols (so "ab" lexes as two letters when the alphabet is {a, b}).
+identifier not itself in the alphabet is split into its characters when
+each is a letter (so "ab" lexes as two letters when the alphabet is
+{a, b}), and is an error otherwise ("abc" over {ab, c}).
 A binder ``<$n. e >`` closes on its own name; ``<$n. e >$m`` deallocates m
 and leaks n on exit. The close annotation attaches to ``>`` without
 whitespace; ``<$n.$n> $m`` is a self-closing binder followed by the name m.

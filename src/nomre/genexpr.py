@@ -10,17 +10,17 @@ from .expr import Bind, Cat, Lit, NreClass, ONE, Star, Sum, Under, ZERO, Nam, ch
 from .nominal import Letter, name
 
 _BOUND_NAMES = [name(x) for x in ("x", "y", "z", "w")]
+_LETTERS = [Letter("a"), Letter("b")]
 
 
-def random_nre(rng, letters=("a", "b"), max_depth=3, size=8,
-               allow_under=True, allow_perm=True, allow_zero=True):
-    """One closed well-formed expression with binder nesting <= max_depth."""
-    return _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero)[0]
+def random_nre(rng, max_depth=3, size=8, allow_under=True, allow_perm=True, allow_zero=True):
+    """One closed well-formed expression over the letters a and b, with
+    binder nesting <= max_depth."""
+    return _draw(rng, max_depth, size, allow_under, allow_perm, allow_zero)[0]
 
 
-def _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero):
+def _draw(rng, max_depth, size, allow_under, allow_perm, allow_zero):
     """A random_nre expression and its grammar class."""
-    letters = [Letter(x) for x in letters]
 
     def go(depth, env, budget):
         choices = ["lit", "one"]
@@ -38,7 +38,7 @@ def _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero):
         if pick == "one":
             return ONE
         if pick == "lit":
-            return Lit(rng.choice(letters))
+            return Lit(rng.choice(_LETTERS))
         if pick == "name":
             return Nam(rng.choice(env))
         if pick == "under":
@@ -63,7 +63,7 @@ def _draw(rng, letters, max_depth, size, allow_under, allow_perm, allow_zero):
     return e, rep.nre_class
 
 
-def corpus_of_classes(seed, total=200, letters=("a", "b"), max_depth=3, allow_zero=True):
+def corpus_of_classes(seed, total=200, max_depth=3, allow_zero=True):
     """At least total expressions covering all four grammar classes."""
     rng = random.Random(seed)
     out = []
@@ -71,7 +71,7 @@ def corpus_of_classes(seed, total=200, letters=("a", "b"), max_depth=3, allow_ze
     while len(out) < total or min(counts.values()) < 8:
         modes = [(True, True), (True, False), (False, True), (False, False)]
         allow_under, allow_perm = modes[len(out) % 4]
-        e, cls = _draw(rng, letters, max_depth, rng.randint(3, 9), allow_under, allow_perm, allow_zero)
+        e, cls = _draw(rng, max_depth, rng.randint(3, 9), allow_under, allow_perm, allow_zero)
         out.append(e)
         counts[cls] += 1
         if len(out) > total * 40:

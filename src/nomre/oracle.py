@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import itertools
 
 from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schematic_normalize
-from .calculus import _cond_ok, _require_closed
+from .calculus import _cond_ok
 from .errors import ResourceLimitError, ValidationError
 from .expr import ContextTriple
 from .nominal import Chronicle, Name, hcv, is_placeholder, sys_name
@@ -207,7 +207,6 @@ def forest_language_enumerate(e, pool, maxlen):
     """Reference enumeration through explicit derivation trees, stars
     unfolded at most maxlen + 1 times: a test oracle only where every star
     iteration reads a symbol."""
-    _require_closed(e)
     pool = tuple(pool)
     words = set()
     for tree in ctxc_derive(ContextTriple((), e, ()), maxlen + 1):

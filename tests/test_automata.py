@@ -145,6 +145,10 @@ def test_label_repr():
     assert [l for _, l, _ in a.transitions if l.kind in ("reg", "letter")] == [lab_reg(1), lab_letter("r1")]
     dot = to_dot(a)
     assert 'label="r1"' in dot and "label=\"'r1'\"" in dot
+    # a spelling that begins with a quote mark is quoted too, so the letters
+    # r1 and 'r1' print apart
+    assert [repr(lab_letter(s)) for s in ("'r1'", '"x', "x'")] == ["\"'r1'\"", "'\"x'", "x'"]
+    assert repr(lab_letter("'r1'")) != repr(lab_letter("r1"))
 
 
 def test_class_of_lses_is_ca():
@@ -685,6 +689,15 @@ def test_reference_configurations_stay_finite_on_allocation_loops():
             stack.extend(step(a, c, w))
     assert accept_reference(a, w) is False
     assert accept(a, w) is False
+    # the engine's closure ends on its visited set, with no round cap, on
+    # allocation loops of other shapes too
+    pool = default_pool(3)
+    tokens = tuple(Letter(x) for x in ALPHABET) + pool
+    words = [w for n in range(4) for w in itertools.product(tokens, repeat=n)]
+    for text in ("(<$y.1>)*", "<$x.(<$y.1> + <$z.$z>$x)*>", "<$x.<$y.<$z.1>*>*>", "<$x.(<$y.1>$x)* $x>"):
+        a = compile_expr(P(text))
+        assert [accept(a, w) for w in words] == [accept_reference(a, w) for w in words], text
+        assert enumerate_words(a, pool, 3) == enumerate_reference(a, pool, 3), text
 
 
 def test_kleene_differential_over_reserved_pool():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import nomre.calculus as calculus
 from nomre.automata import enumerate_words
 from nomre.calculus import (
     DerivationTree,
@@ -103,6 +104,12 @@ def test_ctxc_forest_cap():
     e = P("((1 + a)*)*")
     with pytest.raises(ResourceLimitError):
         ctxc_derive(ContextTriple((), e, ()), 14)
+
+
+def test_outcome_cap(monkeypatch):
+    monkeypatch.setattr(calculus, "_OUTCOME_CAP", 5)
+    with pytest.raises(ResourceLimitError, match="schematic outcome set exceeds 5 entries"):
+        language_enumerate(P("(a + b)*"), default_pool(3), 4)
 
 
 from golden_data import big_expected_neqs, big_expected_structured, diamond_expected
@@ -468,7 +475,7 @@ def test_every_entry_point_agrees_on_context_legality():
 
 
 def test_language_of_an_open_or_ill_formed_expression_is_an_error(pool3):
-    for text, why in (("$n a", "closed"), ("<$n. _$m>", "ill-formed")):
+    for text, why in (("$n a", r"free name \$n"), ("<$n. _$m>", r"free name \$m")):
         with pytest.raises(ContextError, match=why):
             language_enumerate(P(text), pool3, 3)
         with pytest.raises(ContextError, match=why):

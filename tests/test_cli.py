@@ -171,6 +171,8 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     # a '$' with no spelling names nothing, in a word or in a pool
     assert main(["accept", lses_json, "$"]) == 4
     assert main(["enumerate", lses_json, "--pool", "$,$r", "--maxlen", "3"]) == 4
+    # a pool entry without its '$' is rejected, not read as a letter
+    assert main(["enumerate", lses_json, "--pool", "r1,r2", "--maxlen", "3"]) == 4
     assert capsys.readouterr().out == ""
 
 

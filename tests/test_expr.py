@@ -51,6 +51,14 @@ def test_parse_successive_distinct():
     assert e == Bind(m, Star(Bind(n, Nam(n), m)), m)
 
 
+def test_parse_splits_an_identifier_into_one_character_letters_only():
+    a, b = Lit(Letter("a")), Lit(Letter("b"))
+    assert parse("ab", ("a", "b")) == Cat(a, b)
+    # no split into longer letters: "abc" is not read as "ab" then "c"
+    with pytest.raises(ParseError, match="letter 'abc' not in alphabet"):
+        parse("abc", ("ab", "c"))
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         P("ab<$n._$n*")  # unclosed binder

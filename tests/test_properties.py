@@ -29,7 +29,6 @@ def expressions(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return random_nre(
         rng,
-        LETTERS,
         max_depth=draw(st.integers(0, 3)),
         size=draw(st.integers(1, 12)),
         allow_under=draw(st.booleans()),
