@@ -37,8 +37,7 @@ _EXPORTS = {
     ),
     "extract": ("determinize_layers", "extract_expr"),
     "nominal": (
-        "Chronicle", "Letter", "Name", "Perm", "name", "perm_from_lists", "placeholder",
-        "transpose",
+        "Chronicle", "Letter", "Name", "name", "perm_from_lists", "placeholder", "transpose",
     ),
 }
 _HOME = {attr: module for module, attrs in _EXPORTS.items() for attr in attrs}

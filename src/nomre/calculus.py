@@ -132,7 +132,7 @@ def _binder_subcontext(e, pre, post):
         sub_post = tuple(c.extend((x,)) for c in post) + (Chronicle((x,), x),)
     else:
         swap = transpose(e.close, x)
-        sub_post = tuple(Chronicle(c.hist + (x,), swap(c.cv)) for c in post) + (
+        sub_post = tuple(Chronicle(c.hist + (x,), swap.get(c.cv, c.cv)) for c in post) + (
             Chronicle((x, e.close), e.close),
         )
     return body, pre + (x,), sub_post
@@ -234,18 +234,20 @@ def _atoms(word, conds, post=()):
         yield ch.cv
 
 
-def _subst(f, word, conds, post=()):
-    """Apply the atom map f to every atom of an outcome; f fixes letters."""
+def _subst(m, word, conds, post=()):
+    """Rename every atom of an outcome by the dict m, the identity off its
+    keys; no letter is a key."""
+    get = m.get
     out = []
     for c in conds:
         if isinstance(c, Local):
-            out.append(Local(f(c.p), tuple(map(f, c.wrt))))
+            out.append(Local(get(c.p, c.p), tuple([get(x, x) for x in c.wrt])))
         elif isinstance(c, Global):
-            out.append(Global(f(c.p), c.reg, tuple(map(f, c.wrt))))
+            out.append(Global(get(c.p, c.p), c.reg, tuple([get(x, x) for x in c.wrt])))
         else:
-            out.append(Neq(f(c.l), f(c.r)))
-    post = tuple(Chronicle(tuple(map(f, ch.hist)), f(ch.cv)) for ch in post)
-    return tuple(map(f, word)), tuple(out), post
+            out.append(Neq(get(c.l, c.l), get(c.r, c.r)))
+    post = tuple(Chronicle(tuple([get(x, x) for x in ch.hist]), get(ch.cv, ch.cv)) for ch in post)
+    return tuple([get(x, x) for x in word]), tuple(out), post
 
 
 def _under(n, pre, post, p):
@@ -253,7 +255,7 @@ def _under(n, pre, post, p):
     i = pre.index(n) + 1
     conds = (Local(p, pre), Global(p, i, pre[i - 1:]))
     swap = transpose(n, p)
-    return (p,), conds, tuple(Chronicle(c.hist + (p,), swap(c.cv)).dedup() for c in post)
+    return (p,), conds, tuple(Chronicle(c.hist + (p,), swap.get(c.cv, c.cv)).dedup() for c in post)
 
 
 def _bind(sub, pre, q):
@@ -265,20 +267,19 @@ def _bind(sub, pre, q):
 
 
 def _concat(left, right, pre, shift):
-    """The concatenation rule: one atom map moves the right outcome's
-    placeholders up by shift, past the left's (0 when they are already
-    disjoint), and renames every other atom by the permutation matching the
-    pre-context to the left post's current values; the right's
-    relative-global conditions are then extended by the left chronicle.
-    Shifted placeholders miss the permutation's support: a context holds
-    none, and the left post's placeholder values are the left's own."""
+    """The concatenation rule. One renaming dict maps the pre-context to the
+    left post's current values, completed to a bijection, and moves the
+    right outcome's placeholders up by shift, past the left's (0 when they
+    are already disjoint). The bijection's keys are the pre-context, which
+    holds no placeholder, and the left's current values, whose placeholders
+    are the left's own; so the shift entries, written last, override a right
+    placeholder that shares a number with a left one. The right's
+    relative-global conditions are then extended by the left chronicle."""
     w1, phi1, p1 = left
-    pi = perm_from_lists(pre, hcv(p1))
-
-    def shift_then_pi(x):
-        return placeholder(x.key + shift) if is_placeholder(x) else pi(x)
-
-    w2, phi2, p2 = _subst(shift_then_pi if shift else pi, *right)
+    m = perm_from_lists(pre, hcv(p1))
+    if shift:
+        m.update({x: placeholder(x.key + shift) for x in _atoms(*right) if is_placeholder(x)})
+    w2, phi2, p2 = _subst(m, *right)
     phi2 = tuple(
         Global(c.p, c.reg, p1[c.reg - 1].hist + c.wrt)
         if isinstance(c, Global) and c.reg <= len(p1) else c
@@ -424,7 +425,7 @@ def schematic_normalize(sw: SchematicWord) -> SchematicWord:
     phs = {x for x in _atoms(base.word, base.cond) if is_placeholder(x)}
     order = sorted(phs, key=lambda p: (_signature(p, base), p.sort_key()))
     ren = {p: placeholder(i + 1) for i, p in enumerate(order)}
-    word, out, _ = _subst(lambda x: ren.get(x, x), base.word, base.cond)
+    word, out, _ = _subst(ren, base.word, base.cond)
     return SchematicWord(word, tuple(sorted(out, key=_cond_key)))
 
 
@@ -485,7 +486,7 @@ def _canon_outcome(word, conds, post):
     for x in _atoms(word, conds, post):
         if is_placeholder(x) and x not in order:
             order[x] = placeholder(len(order) + 1)
-    return _subst(lambda x: order.get(x, x), word, conds, post)
+    return _subst(order, word, conds, post)
 
 
 _OUTCOME_CAP = 200000

@@ -143,11 +143,15 @@ class NreClass(enum.Enum):
 
 # ---------------------------------------------------------------- lexing
 
+# The spelling of a letter: a bare identifier. The lexer reads one with this
+# pattern, and extraction rejects a letter it would not read back.
+LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<close>>\$[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<name>\$[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<under>_)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_']*)"
+    r"|(?P<ident>" + LETTER_RE.pattern + ")"
     r"|(?P<punct>[10+*<>().]))"
 )
 
@@ -386,6 +390,8 @@ def check_wellformed(e):
                         closes[ctx].add(e.close)
                     issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
             go(e.body, bound | {e.n}, where)
+        elif not isinstance(e, (One, Zero, Lit)):
+            raise TypeError(e)
 
     go(e, frozenset(), ("post",))
     under, perm = Under in kinds, Bind in kinds
@@ -404,22 +410,23 @@ def free_names(e):
     return check_wellformed(e).free
 
 
-def apply_perm_expr(p, e):
-    """Structural permutation action; maps binder and close names too."""
+def apply_perm_expr(m, e):
+    """Structural action of the renaming dict m (identity off its keys);
+    maps binder and close names too."""
     if isinstance(e, (One, Zero, Lit)):
         return e
     if isinstance(e, Nam):
-        return Nam(p(e.n))
+        return Nam(m.get(e.n, e.n))
     if isinstance(e, Under):
-        return Under(p(e.n))
+        return Under(m.get(e.n, e.n))
     if isinstance(e, Sum):
-        return Sum(apply_perm_expr(p, e.l), apply_perm_expr(p, e.r))
+        return Sum(apply_perm_expr(m, e.l), apply_perm_expr(m, e.r))
     if isinstance(e, Cat):
-        return Cat(apply_perm_expr(p, e.l), apply_perm_expr(p, e.r))
+        return Cat(apply_perm_expr(m, e.l), apply_perm_expr(m, e.r))
     if isinstance(e, Star):
-        return Star(apply_perm_expr(p, e.e))
+        return Star(apply_perm_expr(m, e.e))
     if isinstance(e, Bind):
-        return Bind(p(e.n), apply_perm_expr(p, e.body), p(e.close))
+        return Bind(m.get(e.n, e.n), apply_perm_expr(m, e.body), m.get(e.close, e.close))
     raise TypeError(e)
 
 

@@ -14,7 +14,7 @@ the choice immaterial.
 
 from .automata import Cda, State
 from .errors import ValidationError
-from .expr import Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO
+from .expr import LETTER_RE, Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO
 from .nominal import name
 
 
@@ -102,6 +102,9 @@ def extract_expr(a: Cda):
     layer = {s.id: s.regs for s in a.states}
     if layer[a.initial]:
         raise ValidationError("only a closed automaton extracts: the initial state is not on layer 0")
+    unspellable = sorted(l.sym for l in a.letters() if not LETTER_RE.fullmatch(l.sym))
+    if unspellable:
+        raise ValidationError("letters %r cannot be written as expression letters" % unspellable)
     top = max(layer.values())
     # by layer: its states, its atom edges and then binder edges, the * edges
     # that enter it and the close edges that leave it

@@ -1,13 +1,15 @@
-"""Names, letters, finite permutations, and chronicles.
+"""Names, letters, renamings, and chronicles.
 
 Names come from a countably infinite totally ordered universe split into
 three disjoint kinds: user names (written ``$x``), reserved machine names
 (written ``~k``, used for canonical fresh choices and bound-name renaming),
 and placeholders (written ``*k``, used by the symbolic language calculus).
 Letters form a separate finite alphabet; the two lexical classes never
-overlap.
+overlap. A renaming is a plain dict from names to names, the identity off
+its keys; the calculus applies one with ``m.get(x, x)``.
 
-Everything in this module is immutable and safe to share across threads.
+Names, letters and chronicles are immutable and safe to share across
+threads; each renaming is a new dict that belongs to its caller.
 """
 
 from dataclasses import dataclass
@@ -100,77 +102,15 @@ def atom_key(x):
     return (1,) + x.sort_key()
 
 
-class Perm:
-    """A finitely generated permutation of the name universe.
-
-    Stored as its support mapping; identity everywhere else. Injective on
-    the support by construction.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping=None):
-        m = {}
-        if mapping:
-            for k, v in mapping.items():
-                if k is not v:
-                    m[k] = v
-        if len(set(m.values())) != len(m):
-            raise ValueError("mapping is not injective")
-        self._map = m
-
-    def __call__(self, n):
-        return self._map.get(n, n)
-
-    def support(self):
-        return frozenset(self._map)
-
-    def inverse(self):
-        p = Perm()
-        p._map = {v: k for k, v in self._map.items()}
-        return p
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(n) = self(other(n))."""
-        m = {}
-        for n in set(self._map) | set(other._map):
-            img = self(other(n))
-            if img is not n:
-                m[n] = img
-        p = Perm()
-        p._map = m
-        return p
-
-    def is_identity(self):
-        return not self._map
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self._map == other._map
-
-    def __hash__(self):
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self):
-        if not self._map:
-            return "Perm(id)"
-        body = ", ".join(
-            "%r>%r" % (k, v) for k, v in sorted(self._map.items(), key=lambda kv: kv[0].sort_key())
-        )
-        return "Perm(%s)" % body
-
-
-IDENTITY = Perm()
-
-
 def transpose(a, b):
-    """The transposition (a b); identity when a = b."""
-    if a is b:
-        return IDENTITY
-    return Perm({a: b, b: a})
+    """The transposition (a b) as a renaming: a dict that is the identity
+    off its keys. Empty when a = b."""
+    return {} if a is b else {a: b, b: a}
 
 
 def perm_from_lists(ns, ms):
-    """Extend the positional map ns[i] -> ms[i] to a bijection on ns ∪ ms.
+    """Extend the positional map ns[i] -> ms[i] to a bijection on ns ∪ ms,
+    returned as a renaming dict with the identity off its keys.
 
     Elements of the union without an assigned image are matched, in name
     order, with the elements lacking a preimage. Deterministic and
@@ -186,7 +126,7 @@ def perm_from_lists(ns, ms):
     used = set(ms)
     targets = sorted((y for y in domain if y not in used), key=Name.sort_key)
     mapping.update(zip(sources, targets))
-    return Perm(mapping)
+    return mapping
 
 
 def check_bounds(pool, maxlen):

@@ -1,12 +1,13 @@
 """Expression and word tools that only the tests use."""
 
 from nomre.expr import Bind, Cat, Star, Sum, apply_perm_expr
-from nomre.nominal import Name, transpose
+from nomre.nominal import transpose
 
 
-def apply_perm_word(p, w):
-    """Pointwise action on a word: names mapped, letters fixed."""
-    return tuple(p(t) if isinstance(t, Name) else t for t in w)
+def apply_perm_word(m, w):
+    """Pointwise action of the renaming dict m on a word: names mapped,
+    letters fixed (no letter is a key)."""
+    return tuple(m.get(t, t) for t in w)
 
 
 def binder_depth(e):

@@ -8,7 +8,7 @@ import pytest
 
 import nomre
 import nomre.oracle
-from nomre.automata import from_json, to_json
+from nomre.automata import Cda, State, from_json, lab_letter, to_json
 from nomre.cli import build_parser, main, parse_word
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, LSES_TEXT, lses_automaton
@@ -111,6 +111,13 @@ def test_extract_command(lses_json, tmp_path, capsys):
     from nomre.automata import accept
 
     assert accept(a2, parse_word("a b $k1 $k2"))
+
+
+def test_extract_command_rejects_an_unspellable_letter(tmp_path, capsys):
+    p = tmp_path / "one.json"
+    p.write_text(to_json(Cda((State("s0", 0), State("s1", 0, True)), "s0", (("s0", lab_letter("1"), "s1"),))))
+    assert main(["extract", str(p), "-"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_derive_command(tmp_path, capsys):

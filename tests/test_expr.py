@@ -14,6 +14,7 @@ from nomre.expr import (
     NreClass,
     ONE,
     Star,
+    Sum,
     Under,
     alpha_eq,
     apply_perm_expr,
@@ -25,7 +26,7 @@ from nomre.expr import (
     render,
 )
 from nomre.genexpr import random_nre
-from nomre.nominal import IDENTITY, Letter, name, transpose
+from nomre.nominal import Letter, name, transpose
 from nre_helpers import binder_depth, rename_bound
 
 
@@ -121,6 +122,14 @@ def test_wellformed_scope_condition():
     assert check_wellformed(P("<$m.<$n.$n>$m>")).ok
 
 
+def test_wellformed_rejects_a_value_that_is_no_expression():
+    for bad in (42, "a b", None, Cat(P("a"), 42), Bind(name("n"), (), name("n"))):
+        with pytest.raises(TypeError):
+            check_wellformed(bad)
+        with pytest.raises(TypeError):
+            classify(bad)
+
+
 def test_wellformed_underline_locality():
     rep = check_wellformed(P("_$n"))
     assert not rep.ok
@@ -136,7 +145,7 @@ def test_free_names():
 
 def test_apply_perm_expr():
     e = P("<$n.$n>")
-    assert apply_perm_expr(IDENTITY, e) == e
+    assert apply_perm_expr({}, e) == e
     n, m = name("n"), name("m")
     assert apply_perm_expr(transpose(n, m), e) == P("<$m.$m>")
     lit = P("a")
@@ -186,12 +195,30 @@ def test_classify_invariant_under_permutation(rng):
         assert classify(apply_perm_expr(p, e)) is classify(e)
 
 
+def _unbind_some(rng, e):
+    """e with each binder dropped, body kept, at even odds: an open
+    expression whose free names include the names those binders bound."""
+    if isinstance(e, (Sum, Cat)):
+        return type(e)(_unbind_some(rng, e.l), _unbind_some(rng, e.r))
+    if isinstance(e, Star):
+        return Star(_unbind_some(rng, e.e))
+    if isinstance(e, Bind):
+        body = _unbind_some(rng, e.body)
+        return body if rng.random() < 0.5 else Bind(e.n, body, e.close)
+    return e
+
+
 def test_free_names_equivariant(rng):
     names = [name(x) for x in "xyzw"]
-    for _ in range(30):
-        e = random_nre(rng, size=6)
-        p = transpose(rng.choice(names), rng.choice(names))
-        assert free_names(apply_perm_expr(p, e)) == frozenset(p(x) for x in free_names(e))
+    moved = 0
+    for _ in range(60):
+        e = _unbind_some(rng, random_nre(rng, size=8))
+        free = free_names(e)
+        # a free name, when there is one, is one side of the transposition
+        p = transpose(rng.choice(sorted(free) or names), rng.choice(names))
+        assert free_names(apply_perm_expr(p, e)) == frozenset(p.get(x, x) for x in free)
+        moved += any(p.get(x, x) is not x for x in free)
+    assert moved >= 10
 
 
 def test_binder_depth_equals_max_regcount(rng):

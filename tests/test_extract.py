@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from nomre.automata import (
     lab_letter,
 )
 from nomre.compiler import compile_expr
+from nomre.errors import ValidationError
 from nomre.corpus import ALPHABET, all_expr_texts, handbuilt_automata
 from nomre.expr import NreClass, check_wellformed, classify, parse, render
 from nomre.extract import determinize_layers, extract_expr
@@ -91,6 +93,24 @@ def test_extract_trivial(pool3):
     assert enumerate_words(compile_expr(e), pool3, 3) == {()}
     z = extract_expr(compile_expr(P("0")))
     assert enumerate_words(compile_expr(z), pool3, 3) == set()
+
+
+def one_letter_automaton(sym):
+    """Accepts exactly the one-letter word of the letter spelled sym."""
+    return Cda((State("s0", 0), State("s1", 0, True)), "s0", (("s0", lab_letter(sym), "s1"),))
+
+
+@pytest.mark.parametrize("sym", ["1", "0", "*", "x y", "_a", "a$"])
+def test_extract_rejects_a_letter_the_grammar_cannot_spell(sym):
+    # rendered, "1" would read back as the empty word, and the others not at all
+    with pytest.raises(ValidationError, match=re.escape(repr(sym))):
+        extract_expr(one_letter_automaton(sym))
+
+
+def test_extract_keeps_identifier_letters():
+    for sym in ("a", "ab", "b2", "c_d'"):
+        e = extract_expr(one_letter_automaton(sym))
+        assert parse(render(e), (sym,)) == e
 
 
 def test_extract_lses_roundtrip(pool3, hand_automata):
