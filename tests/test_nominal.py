@@ -58,6 +58,35 @@ def test_perm_from_lists_is_a_bijection_extending_the_lists():
         assert set(p) == set(p.values()) == set(ns) | set(ms)
 
 
+def test_perm_inverse_roundtrip():
+    # a renaming dict is a bijection on its keys, so swapping keys and
+    # values inverts it, off its keys as well
+    rng = random.Random(7)
+    names = [name("x%d" % i) for i in range(8)]
+    for _ in range(50):
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        p = perm_from_lists(names, shuffled)
+        q = {v: k for k, v in p.items()}
+        for x in names + [name("outside")]:
+            assert q.get(p.get(x, x), x) is x
+
+
+def test_perm_compose_action_on_words():
+    # acting by q then p is acting by their composite dict
+    rng = random.Random(9)
+    names = [name("y%d" % i) for i in range(5)]
+    for _ in range(30):
+        s1, s2 = names[:], names[:]
+        rng.shuffle(s1)
+        rng.shuffle(s2)
+        p = perm_from_lists(names, s1)
+        q = perm_from_lists(names, s2)
+        pq = {x: p.get(q.get(x, x), q.get(x, x)) for x in set(p) | set(q)}
+        w = tuple(rng.choice(names) for _ in range(6))
+        assert apply_perm_word(p, apply_perm_word(q, w)) == apply_perm_word(pq, w)
+
+
 def test_perm_from_lists_errors():
     with pytest.raises(ValueError):
         perm_from_lists([a], [b, c])
