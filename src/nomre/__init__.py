@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "compiler": ("compile_expr", "compile_in_context"),
     "errors": (
-        "CompileError", "ContextError", "NomreError", "ParseError", "ResourceLimitError",
-        "SchemaError", "ValidationError",
+        "ContextError", "NomreError", "ParseError", "ResourceLimitError", "SchemaError",
+        "ValidationError",
     ),
     "expr": (
         "ContextTriple", "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed",

@@ -53,7 +53,6 @@ from .nominal import (
     _orbit_words,
     _check_bound,
     natural_chronicle,
-    perm_from_lists,
     placeholder,
     sys_name,
     transpose,
@@ -164,6 +163,15 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
         if count[0] > _FOREST_CAP:
             raise ResourceLimitError("derivation forest exceeds %d nodes" % _FOREST_CAP)
 
+    def grow(rule, e, pre, post, kids, h=None):
+        """One node per tuple of children in kids, each charged to the cap;
+        zip over one list of trees gives its 1-tuples."""
+        out = []
+        for children in kids:
+            charge()
+            out.append(DerivationTree(rule, pre, e, post, children, h))
+        return out
+
     def go(e, pre, post):
         charge()
         if isinstance(e, (One, Zero, Lit, Nam, Under)):
@@ -172,41 +180,21 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
             }[type(e)]
             return [DerivationTree(rule, pre, e, post)]
         if isinstance(e, Sum):
-            out = []
-            for tag, branch in (("sum1", e.l), ("sum2", e.r)):
-                for c in go(branch, pre, post):
-                    charge()
-                    out.append(DerivationTree(tag, pre, e, post, (c,)))
-            return out
+            out = grow("sum1", e, pre, post, zip(go(e.l, pre, post)))
+            return out + grow("sum2", e, pre, post, zip(go(e.r, pre, post)))
         if isinstance(e, Cat):
             lefts = go(e.l, pre, natural_chronicle(pre))
             rights = go(e.r, pre, post)
-            out = []
-            for cl in lefts:
-                for cr in rights:
-                    charge()
-                    out.append(DerivationTree("cat", pre, e, post, (cl, cr)))
-            return out
+            return grow("cat", e, pre, post, itertools.product(lefts, rights))
         if isinstance(e, Star):
-            out = []
+            out, chain = [], ONE
             for h in range(star_bound + 1):
-                if h == 0:
-                    chain = ONE
-                else:
-                    chain = e.e
-                    for _ in range(h - 1):
-                        chain = Cat(e.e, chain)
-                for c in go(chain, pre, post):
-                    charge()
-                    out.append(DerivationTree("star", pre, e, post, (c,), h=h))
+                out += grow("star", e, pre, post, zip(go(chain, pre, post)), h)
+                chain = e.e if h == 0 else Cat(e.e, chain)
             return out
         if isinstance(e, Bind):
             rule = "bind=" if e.close is e.n else "bind!="
-            out = []
-            for c in go(*_binder_subcontext(e, pre, post)):
-                charge()
-                out.append(DerivationTree(rule, pre, e, post, (c,)))
-            return out
+            return grow(rule, e, pre, post, zip(go(*_binder_subcontext(e, pre, post))))
         raise TypeError(e)
 
     return go(t.payload, t.pre, t.post)
@@ -214,10 +202,11 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
 
 # ------------------------------------------------------- language calculus
 #
-# An evaluated derivation is an outcome (word, conditions, post). The rules
-# below are shared by the tree evaluator behind the derivation dumps and the
-# fused evaluator behind language enumeration; each takes the placeholder it
-# introduces as an argument, since the two number placeholders differently.
+# An evaluated derivation is an outcome (word, conditions, post). Each rule
+# below is stated once and shared by the tree evaluator behind the
+# derivation dumps and the fused evaluator behind language enumeration; a
+# rule that introduces a placeholder takes it as an argument, since the two
+# evaluators number placeholders differently.
 
 def _atoms(word, conds, post=()):
     """Every atom of an outcome: the word, then the conditions, then the post."""
@@ -250,11 +239,19 @@ def _subst(m, word, conds, post=()):
     return tuple([get(x, x) for x in word]), tuple(out), post
 
 
-def _under(n, pre, post, p):
-    """The underline rule: p is locally fresh and fresh for n's register."""
-    i = pre.index(n) + 1
+def _leaf(e, pre, post, p):
+    """The rules of 1, a letter, a name and an underline. An underline reads
+    the fresh placeholder p, locally fresh and fresh for its name's register;
+    the other leaves ignore p."""
+    if isinstance(e, One):
+        return (), (), post
+    if isinstance(e, Lit):
+        return (e.s,), (), post
+    if isinstance(e, Nam):
+        return (e.n,), (), post
+    i = pre.index(e.n) + 1
     conds = (Local(p, pre), Global(p, i, pre[i - 1:]))
-    swap = transpose(n, p)
+    swap = transpose(e.n, p)
     return (p,), conds, tuple(Chronicle(c.hist + (p,), swap.get(c.cv, c.cv)).dedup() for c in post)
 
 
@@ -267,16 +264,15 @@ def _bind(sub, pre, q):
 
 
 def _concat(left, right, pre, shift):
-    """The concatenation rule. One renaming dict maps the pre-context to the
-    left post's current values, completed to a bijection, and moves the
-    right outcome's placeholders up by shift, past the left's (0 when they
-    are already disjoint). The bijection's keys are the pre-context, which
-    holds no placeholder, and the left's current values, whose placeholders
-    are the left's own; so the shift entries, written last, override a right
-    placeholder that shares a number with a left one. The right's
+    """The concatenation rule. The right outcome is renamed by the positional
+    map from the pre-context to the left post's current values, and its
+    placeholders move up by shift, past the left's (0 when they are already
+    disjoint). The right holds only pre-context names and placeholders, so
+    no other name needs an image, and the pre-context holds no placeholder,
+    so the two parts of the map never share a key. The right's
     relative-global conditions are then extended by the left chronicle."""
     w1, phi1, p1 = left
-    m = perm_from_lists(pre, hcv(p1))
+    m = dict(zip(pre, hcv(p1)))
     if shift:
         m.update({x: placeholder(x.key + shift) for x in _atoms(*right) if is_placeholder(x)})
     w2, phi2, p2 = _subst(m, *right)
@@ -306,14 +302,8 @@ def lngc_results(tree: DerivationTree) -> dict:
         r, e, C, E = node.rule, node.expr, node.pre, node.post
         if None in subs or r == "zero":
             res = None
-        elif r == "one":
-            res = ((), (), E)
-        elif r == "letter":
-            res = ((e.s,), (), E)
-        elif r == "name":
-            res = ((e.n,), (), E)
-        elif r == "under":
-            res = _under(e.n, C, E, placeholder(next(counter)))
+        elif r in ("one", "letter", "name", "under"):
+            res = _leaf(e, C, E, placeholder(next(counter)) if r == "under" else None)
         elif r in ("sum1", "sum2", "star"):
             res = subs[0]
         elif r == "cat":
@@ -524,22 +514,11 @@ class _Evaluator:
         return out
 
     def _eval(self, e, pre, post, budget):
-        if isinstance(e, One):
-            return frozenset(((() , (), post),))
         if isinstance(e, Zero):
             return frozenset()
-        if isinstance(e, Lit):
-            if budget < 1:
-                return frozenset()
-            return frozenset((((e.s,), (), post),))
-        if isinstance(e, Nam):
-            if budget < 1:
-                return frozenset()
-            return frozenset((((e.n,), (), post),))
-        if isinstance(e, Under):
-            if budget < 1:
-                return frozenset()
-            return frozenset((_canon_outcome(*_under(e.n, pre, post, placeholder(1))),))
+        if isinstance(e, (One, Lit, Nam, Under)):
+            out = _leaf(e, pre, post, placeholder(1))
+            return frozenset((out,)) if len(out[0]) <= budget else frozenset()
         if isinstance(e, Sum):
             return self.eval(e.l, pre, post, budget) | self.eval(e.r, pre, post, budget)
         if isinstance(e, Cat):
@@ -552,7 +531,7 @@ class _Evaluator:
             return frozenset(out)
         if isinstance(e, Star):
             frontier = self.eval(e.e, pre, post, budget)
-            acc = {_canon_outcome((), (), post)} | frontier
+            acc = {_leaf(ONE, pre, post, None)} | frontier
             lefts = self.eval(e.e, pre, natural_chronicle(pre), budget) if frontier else ()
             while frontier:
                 nxt = set()

@@ -13,7 +13,6 @@ import sys
 # so that a process loads only its own modules: accept never loads the
 # expression parser or the calculus.
 from .errors import (
-    CompileError,
     ContextError,
     NomreError,
     ParseError,
@@ -242,7 +241,7 @@ def main(argv=None):
     except ResourceLimitError as e:
         print("resource limit: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE
-    except (SchemaError, ValidationError, CompileError, ContextError) as e:
+    except (SchemaError, ValidationError, ContextError) as e:
         print("invalid input: %s" % e, file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -19,7 +19,7 @@ restarts from.
 """
 
 from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
-from .errors import CompileError
+from .errors import ContextError
 from .expr import Bind, Cat, ContextTriple, Lit, Nam, One, Star, Sum, Under, Zero, context_violation
 from .nominal import hcv
 
@@ -107,10 +107,10 @@ class _Builder:
 
 def compile_in_context(t: ContextTriple) -> Cda:
     """Build the automaton in-context for a context triple over an expression,
-    or raise CompileError if it is not legal there (expr.context_violation)."""
+    or raise ContextError if it is not legal there (expr.context_violation)."""
     why = context_violation(t)
     if why:
-        raise CompileError(why)
+        raise ContextError(why)
     b = _Builder()
     init, finals = b.build(t.payload, t.pre, tuple(_level(t.pre, v) for v in hcv(t.post)))
     finals = set(finals)

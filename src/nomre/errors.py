@@ -24,10 +24,6 @@ class SchemaError(ValidationError):
     """Malformed automaton JSON."""
 
 
-class CompileError(NomreError):
-    """Expression cannot be compiled in the given context."""
-
-
 class ContextError(NomreError):
     """A context triple does not fit the expression."""
 

@@ -28,12 +28,13 @@ from nomre.calculus import (
 )
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
-from nomre.errors import CompileError, ContextError, ResourceLimitError, ValidationError
+from nomre.errors import ContextError, NomreError, ResourceLimitError, ValidationError
 from nomre.expr import ONE, Bind, Cat, Lit, Nam, Star, Sum, Under, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import (
     Chronicle,
     Letter,
+    Name,
     chronicle,
     is_placeholder,
     name,
@@ -355,14 +356,14 @@ def test_a_read_outside_the_context_is_rejected(text):
             schematic_words_of(e, pre=pre, post=post, maxlen=bound)
         with pytest.raises(ContextError, match=r"free name \$z"):
             ctxc_derive(ContextTriple(pre, e, post), bound)
-    with pytest.raises(CompileError, match=r"free name \$z"):
+    with pytest.raises(ContextError, match=r"free name \$z"):
         compile_in_context(ContextTriple(pre, e, post))
 
 
 def test_close_name_must_be_a_current_value_in_both_semantics():
     m, z = name("m"), name("z")
     t = ContextTriple((m,), P("<$n.$n>$m"), (Chronicle((m, z), z),))
-    with pytest.raises(CompileError, match="close name"):
+    with pytest.raises(ContextError, match="close name"):
         compile_in_context(t)
     with pytest.raises(ContextError, match="close name"):
         ctxc_derive(t, 2)
@@ -383,8 +384,8 @@ def test_close_name_must_be_a_current_value_in_both_semantics():
 
 
 def _verdicts(t):
-    """Whether each entry point accepts the triple (True) or rejects it
-    with its error class (False)."""
+    """Whether each entry point accepts the triple (True), or else the class
+    of the error it rejects it with; a resource limit propagates."""
     calls = [lambda: compile_in_context(t)]
     calls += [lambda b=b: ctxc_derive(t, b) for b in (0, 1, 2)]
     calls += [lambda n=n: schematic_words_of(t.payload, t.pre, t.post, maxlen=n) for n in (0, 2, 4)]
@@ -394,8 +395,10 @@ def _verdicts(t):
         try:
             call()
             out.append(True)
-        except (CompileError, ContextError):
-            out.append(False)
+        except ResourceLimitError:
+            raise
+        except NomreError as exc:
+            out.append(type(exc))
     return out
 
 
@@ -415,7 +418,7 @@ _AT_Z = (Chronicle((_M, _Z), _Z),)  # pre ($m,), post {$m $z @ $z}
 ], ids=["cat-left", "cat-left-post-only", "star-pre-missing", "star-post-missing",
         "tail", "tail-pre-only", "bound-in-star", "bound-after-cat"])
 def test_close_name_legality_by_position(text, legal):
-    assert _verdicts(ContextTriple((_M,), P(text), _AT_Z)) == [legal] * 8
+    assert _verdicts(ContextTriple((_M,), P(text), _AT_Z)) == [True if legal else ContextError] * 8
 
 
 _CTX = [name(x) for x in ("m", "z", "w")]
@@ -452,7 +455,8 @@ def _open_nre(rng, pre, env=(), budget=5):
 
 def test_every_entry_point_agrees_on_context_legality():
     # the compiler and both calculus evaluators, at every bound, give one
-    # verdict on a triple, however far a derivation gets
+    # verdict on a triple, and reject it with one error class, however far
+    # a derivation gets
     rng = random.Random(17)
     seen = set()
     for _ in range(3000):
@@ -471,7 +475,7 @@ def test_every_entry_point_agrees_on_context_legality():
             continue
         assert len(set(verdicts)) == 1, (t, verdicts)
         seen.add(verdicts[0])
-    assert seen == {True, False}
+    assert seen == {True, ContextError}
 
 
 def test_language_of_an_open_or_ill_formed_expression_is_an_error(pool3):
@@ -552,6 +556,32 @@ def test_cat_associative_at_language_level(rng, pool3):
         l = language_enumerate(Cat(Cat(e1, e2), e3), pool3, 4)
         r = language_enumerate(Cat(e1, Cat(e2, e3)), pool3, 4)
         assert l == r
+
+
+def test_concat_map_is_positional(monkeypatch, pool3, corpus_exprs):
+    # _concat renames the right outcome by pre[i] -> hcv(left post)[i] alone:
+    # exact because the left's current values off the pre-context and the
+    # right's names off it are placeholders, the right's above the left's
+    concat = calculus._concat
+    calls = [0]
+
+    def checked(left, right, pre, shift):
+        ph = [x.key for x in calculus._atoms(*left) if is_placeholder(x)]
+        for ch in left[2]:
+            assert ch.cv in pre or is_placeholder(ch.cv), (left, pre)
+        for x in calculus._atoms(*right):
+            if isinstance(x, Name):
+                assert x in pre or is_placeholder(x), (right, pre)
+                if is_placeholder(x):
+                    assert x.key + shift > max(ph, default=0), (left, right, shift)
+        calls[0] += 1
+        return concat(left, right, pre, shift)
+
+    monkeypatch.setattr(calculus, "_concat", checked)
+    for e in list(corpus_exprs.values()) + corpus_of_classes(seed=7, total=60):
+        language_enumerate(e, pool3, 4)
+        derivation_dump(e, star_bound=1)
+    assert calls[0] > 1000
 
 
 def test_forest_agrees_with_fused(rng, pool3, corpus_exprs, oracle_pools):

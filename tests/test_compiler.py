@@ -16,7 +16,7 @@ from nomre.automata import (
 from nomre.calculus import language_enumerate
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, default_pool, lses_predicate
-from nomre.errors import CompileError, ContextError
+from nomre.errors import ContextError
 from nomre.expr import Bind, Cat, Nam, NreClass, Star, Sum, Under, classify, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import Letter, chronicle, name, natural_chronicle, sys_name
@@ -110,11 +110,11 @@ def test_reserved_context_name_is_not_captured_by_a_binder():
 
 
 def test_compile_requires_closed_wellformed():
-    with pytest.raises(CompileError):
+    with pytest.raises(ContextError):
         compile_expr(P("$n"))
-    with pytest.raises(CompileError):
+    with pytest.raises(ContextError):
         compile_expr(P("_$n"))
-    with pytest.raises(CompileError):
+    with pytest.raises(ContextError):
         compile_expr(P("<$n.$n>$m"))
 
 
