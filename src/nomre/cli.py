@@ -66,7 +66,7 @@ def _parse_letters(text):
 def _load_expr(path, letters):
     from .expr import parse
 
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         text = f.read()
     return parse(text, letters)
 
@@ -74,7 +74,7 @@ def _load_expr(path, letters):
 def _load_automaton(path):
     from .automata import from_json
 
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return from_json(f.read())
 
 
@@ -103,7 +103,7 @@ def cmd_compile(args):
     if args.out == "-":
         print(payload)
     else:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(payload + "\n")
     return 0
 
@@ -149,7 +149,7 @@ def cmd_extract(args):
     if args.out == "-":
         print(text)
     else:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     return 0
 
@@ -244,7 +244,7 @@ def main(argv=None):
     except (SchemaError, ValidationError, ContextError) as e:
         print("invalid input: %s" % e, file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print("io error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except NomreError as e:

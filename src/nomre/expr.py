@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ContextError, ParseError
-from .nominal import Chronicle, Letter, Name, hcv, name
+from .nominal import Chronicle, Letter, Name, check_renaming, hcv, name
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,7 +412,13 @@ def free_names(e):
 
 def apply_perm_expr(m, e):
     """Structural action of the renaming dict m (identity off its keys);
-    maps binder and close names too."""
+    maps binder and close names too. A non-injective m would capture names,
+    so it is a ValidationError, as is a key or value that is no name."""
+    check_renaming(m)
+    return _rename(m, e)
+
+
+def _rename(m, e):
     if isinstance(e, (One, Zero, Lit)):
         return e
     if isinstance(e, Nam):
@@ -420,13 +426,13 @@ def apply_perm_expr(m, e):
     if isinstance(e, Under):
         return Under(m.get(e.n, e.n))
     if isinstance(e, Sum):
-        return Sum(apply_perm_expr(m, e.l), apply_perm_expr(m, e.r))
+        return Sum(_rename(m, e.l), _rename(m, e.r))
     if isinstance(e, Cat):
-        return Cat(apply_perm_expr(m, e.l), apply_perm_expr(m, e.r))
+        return Cat(_rename(m, e.l), _rename(m, e.r))
     if isinstance(e, Star):
-        return Star(apply_perm_expr(m, e.e))
+        return Star(_rename(m, e.e))
     if isinstance(e, Bind):
-        return Bind(m.get(e.n, e.n), apply_perm_expr(m, e.body), m.get(e.close, e.close))
+        return Bind(m.get(e.n, e.n), _rename(m, e.body), m.get(e.close, e.close))
     raise TypeError(e)
 
 
@@ -468,7 +474,10 @@ def classify_first_degree(e):
     names, where fne uses only letters, 1, 0, names and underlines of the
     prefix names, the regular operators, and read-and-store binder atoms
     <$x.$x>$ni whose close name is one of the prefix names. Returns None
-    when no prefix split fits.
+    when the body under the whole prefix is no such fne. Only the whole
+    prefix can fit: a shorter one leaves a self-closing binder at the head
+    of the body, and fne admits no self-closing binder (its close name
+    would have to be a prefix name and not one at once).
     """
     prefix = []
     node = e
@@ -494,10 +503,4 @@ def classify_first_degree(e):
             )
         return False
 
-    for h in range(len(prefix), -1, -1):
-        body = e
-        for _ in range(h):
-            body = body.body
-        if fne_ok(body, set(prefix[:h])):
-            return h
-    return None
+    return len(prefix) if fne_ok(node, set(prefix)) else None

@@ -102,9 +102,26 @@ def atom_key(x):
     return (1,) + x.sort_key()
 
 
+def _check_names(xs):
+    for x in xs:
+        if not isinstance(x, Name):
+            raise ValidationError("a renaming maps names to names, got %r" % (x,))
+
+
+def check_renaming(m):
+    """Reject anything but a dict of names that, with the identity off its
+    keys, is injective: one whose values are exactly its keys."""
+    if not isinstance(m, dict):
+        raise ValidationError("a renaming is a dict, got %r" % (m,))
+    _check_names(itertools.chain(m, m.values()))
+    if set(m.values()) != set(m):
+        raise ValidationError("renaming %r is not injective" % (m,))
+
+
 def transpose(a, b):
     """The transposition (a b) as a renaming: a dict that is the identity
-    off its keys. Empty when a = b."""
+    off its keys. Empty when a = b; a non-name is a ValidationError."""
+    _check_names((a, b))
     return {} if a is b else {a: b, b: a}
 
 
@@ -114,12 +131,14 @@ def perm_from_lists(ns, ms):
 
     Elements of the union without an assigned image are matched, in name
     order, with the elements lacking a preimage. Deterministic and
-    order-stable.
+    order-stable. A non-name, a length mismatch or a repetition is a
+    ValidationError.
     """
+    _check_names(itertools.chain(ns, ms))
     if len(ns) != len(ms):
-        raise ValueError("length mismatch: %d vs %d" % (len(ns), len(ms)))
+        raise ValidationError("length mismatch: %d vs %d" % (len(ns), len(ms)))
     if len(set(ns)) != len(ns) or len(set(ms)) != len(ms):
-        raise ValueError("repetition in permutation lists")
+        raise ValidationError("repetition in permutation lists")
     mapping = dict(zip(ns, ms))
     domain = set(ns) | set(ms)
     sources = sorted((x for x in domain if x not in mapping), key=Name.sort_key)

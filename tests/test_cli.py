@@ -183,6 +183,16 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
+    # a UTF-16 byte order mark: for accept, a crash's exit 1 would read as
+    # "rejected"
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfea\x00")
+    for argv in (["check", str(bad)], ["accept", str(bad), "a"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("io error:"), argv
+
+
 def test_an_automaton_in_context_draws_but_does_not_run(tmp_path, capsys):
     n, m = name("n"), name("m")
     a = compile_in_context(ContextTriple((m,), Bind(n, Nam(n), m), natural_chronicle((m,))))

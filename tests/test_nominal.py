@@ -15,7 +15,8 @@ from nomre.nominal import (
     sys_name,
     transpose,
 )
-from nomre.expr import ONE, ContextTriple
+from nomre.errors import ValidationError
+from nomre.expr import ONE, ContextTriple, apply_perm_expr, parse
 from nomre.oracle import canonical_fresh
 from nre_helpers import apply_perm_word
 
@@ -88,10 +89,35 @@ def test_perm_compose_action_on_words():
 
 
 def test_perm_from_lists_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="length mismatch"):
         perm_from_lists([a], [b, c])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="repetition"):
         perm_from_lists([a, a], [b, c])
+
+
+def test_renaming_helpers_take_names_only():
+    for bad in ("a", Letter("a"), None):
+        with pytest.raises(ValidationError, match="maps names to names"):
+            perm_from_lists([bad], [b])
+        with pytest.raises(ValidationError, match="maps names to names"):
+            perm_from_lists([a], [bad])
+        with pytest.raises(ValidationError, match="maps names to names"):
+            transpose(bad, b)
+        with pytest.raises(ValidationError, match="maps names to names"):
+            transpose(a, bad)
+        for renaming in ({n: bad}, {bad: n}):
+            with pytest.raises(ValidationError, match="maps names to names"):
+                apply_perm_expr(renaming, parse("<$n.$n>"))
+
+
+def test_apply_perm_expr_rejects_a_non_injective_renaming():
+    # with the identity off its keys, each of these sends two names to one,
+    # so <$n.$n $m> would capture $m
+    e = parse("<$n.$n $m>")
+    for bad in ({n: m}, {n: k, m: k}, {n: m, m: m}, [(n, m)]):
+        with pytest.raises(ValidationError):
+            apply_perm_expr(bad, e)
+    assert apply_perm_expr({n: m, m: n}, e) == parse("<$m.$m $n>")
 
 
 def test_apply_perm_word():
