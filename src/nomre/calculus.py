@@ -9,7 +9,7 @@ placeholders, letters and context names together with freshness conditions.
 Two freshness marks exist: ``p # xs`` (local: p differs from every current
 value listed) and ``p #_i xs`` (relative global: p differs from everything
 recorded in register i's chronicle). Concatenation renames the right-hand
-word by the permutation matching the pre-context to the left post-context's
+word by the positional map from the pre-context to the left post-context's
 current values, and extends relative-global conditions with the left
 chronicle of their register, which is how deallocated names stay
 remembered.
@@ -158,8 +158,8 @@ def ctxc_derive(t: ContextTriple, star_bound: int):
     _check_context(t)
     count = [0]
 
-    def charge(n=1):
-        count[0] += n
+    def charge():
+        count[0] += 1
         if count[0] > _FOREST_CAP:
             raise ResourceLimitError("derivation forest exceeds %d nodes" % _FOREST_CAP)
 
