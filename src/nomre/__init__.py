@@ -35,9 +35,9 @@ _EXPORTS = {
         "ContextTriple", "NreClass", "alpha_eq", "apply_perm_expr", "check_wellformed",
         "classify", "classify_first_degree", "free_names", "parse", "render",
     ),
-    "extract": ("determinize_layers", "extract_expr"),
+    "extract": ("extract_expr",),
     "nominal": (
-        "Chronicle", "Letter", "Name", "name", "perm_from_lists", "placeholder", "transpose",
+        "Chronicle", "Letter", "Name", "name", "placeholder", "transpose",
     ),
 }
 _HOME = {attr: module for module, attrs in _EXPORTS.items() for attr in attrs}

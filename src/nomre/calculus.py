@@ -128,7 +128,7 @@ def _binder_subcontext(e, pre, post):
     x = sys_name(len(pre))
     body = apply_perm_expr(transpose(e.n, x), e.body)
     if e.close is e.n:
-        sub_post = tuple(c.extend((x,)) for c in post) + (Chronicle((x,), x),)
+        sub_post = tuple(Chronicle(c.hist + (x,), c.cv) for c in post) + (Chronicle((x,), x),)
     else:
         swap = transpose(e.close, x)
         sub_post = tuple(Chronicle(c.hist + (x,), swap.get(c.cv, c.cv)) for c in post) + (

@@ -78,6 +78,16 @@ def _load_automaton(path):
         return from_json(f.read())
 
 
+def _write_out(out, text):
+    """Print text to stdout when out is "-", else write it, newline-ended,
+    to the UTF-8 file out."""
+    if out == "-":
+        print(text)
+    else:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+
+
 def cmd_check(args):
     from .expr import check_wellformed
 
@@ -99,12 +109,7 @@ def cmd_compile(args):
 
     e = _load_expr(args.expr_file, _parse_letters(args.letters))
     a = compile_expr(e)
-    payload = to_dot(a) if args.format == "dot" else to_json(a)
-    if args.out == "-":
-        print(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(payload + "\n")
+    _write_out(args.out, to_dot(a) if args.format == "dot" else to_json(a))
     return 0
 
 
@@ -144,13 +149,7 @@ def cmd_extract(args):
     from .extract import extract_expr
 
     a = _load_automaton(args.automaton)
-    e = extract_expr(a)
-    text = render(e)
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+    _write_out(args.out, render(extract_expr(a)))
     return 0
 
 
@@ -240,6 +239,10 @@ def main(argv=None):
         return EXIT_PARSE
     except ResourceLimitError as e:
         print("resource limit: %s" % e, file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("resource limit: input nested too deeply for Python's recursion limit of %d"
+              % sys.getrecursionlimit(), file=sys.stderr)
         return EXIT_RESOURCE
     except (SchemaError, ValidationError, ContextError) as e:
         print("invalid input: %s" % e, file=sys.stderr)

@@ -96,9 +96,10 @@ ZERO = Zero()
 class ContextTriple:
     """An expression in context ``C ‡ e ‡ E``. The pre-context C holds
     pairwise distinct names, outermost first; the post-context E is an
-    extant chronicle: one Chronicle per name of C, with pairwise distinct
-    current values. Both are stored as tuples. This is the one place the
-    contract is checked; a context that breaks it raises ContextError."""
+    extant chronicle: one Chronicle of names per name of C, with pairwise
+    distinct current values. Both are stored as tuples. This is the one
+    place the contract is checked; a context that breaks it raises
+    ContextError."""
 
     pre: tuple
     payload: object
@@ -111,8 +112,9 @@ class ContextTriple:
         if not all(isinstance(n, Name) for n in pre) or len(set(pre)) != len(pre):
             raise ContextError("pre-context must hold pairwise distinct names: %r" % (list(pre),))
         if (len(post) != len(pre) or not all(isinstance(c, Chronicle) for c in post)
+                or not all(isinstance(x, Name) for c in post for x in c.hist)
                 or len(set(hcv(post))) != len(post)):
-            raise ContextError("post-context must be an extant chronicle, one per pre-context name: %r" % (post,))
+            raise ContextError("post-context must be an extant chronicle of names, one per pre-context name: %r" % (post,))
 
 
 def context_violation(t):

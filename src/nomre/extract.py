@@ -1,4 +1,4 @@
-"""From automata back to expressions: layered elimination and determinization.
+"""From automata back to expressions: layered elimination.
 
 Ignoring ``*`` and close transitions, each layer of a closed automaton is a
 classical finite automaton whose atoms are letters and register reads.
@@ -12,7 +12,7 @@ Canonical register naming (n1, n2, ...) is fixed; alpha-equivalence makes
 the choice immaterial.
 """
 
-from .automata import Cda, State
+from .automata import Cda
 from .errors import ValidationError
 from .expr import LETTER_RE, Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZERO
 from .nominal import name
@@ -129,53 +129,3 @@ def extract_expr(a: Cda):
                     gen[k - 1].append((p, binder, q))
     paths = _eliminate(nodes[0], gen[0], {_SRC: a.initial}, {f: _DST for f in sorted(a.finals())})
     return paths.get((_SRC, _DST), ZERO)
-
-
-# ---------------------------------------------------------- determinization
-
-def determinize_layers(a: Cda) -> Cda:
-    """Equivalent automaton with no eps edges and subset states per layer.
-
-    Classical closure/powerset inside each layer; ``*`` and close edges are
-    lifted subset-wise, one edge per label.
-    """
-    layer = {s.id: s.regs for s in a.states}
-    finals = a.finals()
-    eps_out, out = {}, {}  # by source: eps targets; (position, label, target) of other edges
-    for n, (f, lab, t) in enumerate(a.transitions):
-        if lab.kind == "eps":
-            eps_out.setdefault(f, []).append(t)
-        else:
-            out.setdefault(f, []).append((n, lab, t))
-
-    def eclose(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in eps_out.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    start = eclose({a.initial})
-    ids = {start: "D0"}
-    order = [start]
-    trs = []
-    work = [start]
-    while work:
-        cur = work.pop()
-        buckets = {}
-        # in automaton order, so labels that print alike keep their order
-        for _, lab, t in sorted(e for s in cur for e in out.get(s, ())):
-            buckets.setdefault(lab, set()).add(t)
-        for lab, targets in sorted(buckets.items(), key=lambda kv: repr(kv[0])):
-            nxt = eclose(targets)
-            if nxt not in ids:
-                ids[nxt] = "D%d" % len(ids)
-                order.append(nxt)
-                work.append(nxt)
-            trs.append((ids[cur], lab, ids[nxt]))
-    states = [State(ids[sub], layer[next(iter(sub))], bool(sub & finals)) for sub in order]
-    return Cda(states, "D0", trs)

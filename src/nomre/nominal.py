@@ -125,29 +125,6 @@ def transpose(a, b):
     return {} if a is b else {a: b, b: a}
 
 
-def perm_from_lists(ns, ms):
-    """Extend the positional map ns[i] -> ms[i] to a bijection on ns ∪ ms,
-    returned as a renaming dict with the identity off its keys.
-
-    Elements of the union without an assigned image are matched, in name
-    order, with the elements lacking a preimage. Deterministic and
-    order-stable. A non-name, a length mismatch or a repetition is a
-    ValidationError.
-    """
-    _check_names(itertools.chain(ns, ms))
-    if len(ns) != len(ms):
-        raise ValidationError("length mismatch: %d vs %d" % (len(ns), len(ms)))
-    if len(set(ns)) != len(ns) or len(set(ms)) != len(ms):
-        raise ValidationError("repetition in permutation lists")
-    mapping = dict(zip(ns, ms))
-    domain = set(ns) | set(ms)
-    sources = sorted((x for x in domain if x not in mapping), key=Name.sort_key)
-    used = set(ms)
-    targets = sorted((y for y in domain if y not in used), key=Name.sort_key)
-    mapping.update(zip(sources, targets))
-    return mapping
-
-
 def check_bounds(pool, maxlen):
     """Reject a pool of anything but distinct names, and a length bound that
     is not an int >= 0 (a bool is no int)."""
@@ -202,21 +179,6 @@ class Chronicle:
         if self.cv not in self.hist:
             raise ValueError("current value %r not in history" % (self.cv,))
 
-    def extend(self, names):
-        """s@t: append names to the history; current value unchanged."""
-        if not names:
-            return self
-        return Chronicle(self.hist + tuple(names), self.cv)
-
-    def delete(self, names):
-        """s∖t: drop every occurrence of the given names from the history."""
-        drop = set(names)
-        if self.cv in drop:
-            raise ValueError("cannot delete current value %r" % (self.cv,))
-        if not drop:
-            return self
-        return Chronicle(tuple(x for x in self.hist if x not in drop), self.cv)
-
     def dedup(self):
         """Remove repeated history entries, keeping first occurrences."""
         out = tuple(dict.fromkeys(self.hist))
@@ -224,10 +186,6 @@ class Chronicle:
 
     def __repr__(self):
         return "{%s @ %r}" % (" ".join(map(repr, self.hist)), self.cv)
-
-
-def chronicle(names, cv):
-    return Chronicle(tuple(names), cv)
 
 
 # An extant chronicle is a tuple of Chronicles, one per live register,

@@ -44,7 +44,7 @@ from nomre.corpus import (
 from nomre.expr import NreClass, alpha_eq, classify, parse, render
 from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, name, perm_from_lists
+from nomre.nominal import Letter, name
 from nomre.oracle import equal_mod_renaming
 from nre_helpers import apply_perm_word, rename_bound
 
@@ -178,7 +178,7 @@ def test_criterion_7_permutation_and_alpha_closure(pool3):
             for _ in range(10):
                 tgt = universe[:]
                 rng.shuffle(tgt)
-                p = perm_from_lists(universe, tgt)
+                p = dict(zip(universe, tgt))
                 checked += 1
                 if not accept(a, apply_perm_word(p, w)):
                     bad += 1

@@ -47,7 +47,7 @@ from nomre.errors import SchemaError, ValidationError
 from nomre.expr import Bind, Cat, Nam, parse, render
 from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, chronicle, name, natural_chronicle, placeholder, sys_name
+from nomre.nominal import Chronicle, Letter, name, natural_chronicle, placeholder, sys_name
 from nomre.oracle import Configuration, accept_reference, enumerate_reference, step
 
 r1, r2, r3 = name("r1"), name("r2"), name("r3")
@@ -203,10 +203,10 @@ def test_step_star_candidates():
 def test_step_under_blocks_history():
     a = lses_automaton()
     w = (r1,)
-    c = Configuration("q3", 0, (chronicle([r2, r1], r2),))
+    c = Configuration("q3", 0, (Chronicle((r2, r1), r2),))
     # the head name is already in the register's chronicle: no consuming move
     assert [s for s in step(a, c, w) if s.pos == 1] == []
-    c2 = Configuration("q3", 0, (chronicle([r2], r2),))
+    c2 = Configuration("q3", 0, (Chronicle((r2,), r2),))
     succs = [s for s in step(a, c2, w) if s.pos == 1]
     assert [s.state for s in succs] == ["q3"]
     s = succs[0]
@@ -222,7 +222,7 @@ def test_step_close_moves_top_value():
     )
     na, nb = name("a"), name("b")
     # allocation order a then b, so b sits in both histories
-    c = Configuration("p2", 0, (chronicle([na, nb], na), chronicle([nb], nb)))
+    c = Configuration("p2", 0, (Chronicle((na, nb), na), Chronicle((nb,), nb)))
     # close on the top register is a pure pop
     (s,) = step(a, c, ())
     assert s.state == "p1"
@@ -779,7 +779,6 @@ def test_accept_invariant_under_fresh_sequence_shift(monkeypatch, pool3, corpus_
 
 
 def test_permutation_closure_of_acceptance(rng, pool3, corpus_exprs):
-    from nomre.nominal import perm_from_lists
     from nre_helpers import apply_perm_word
 
     extra = [name("f%d" % i) for i in range(3)]
@@ -790,5 +789,5 @@ def test_permutation_closure_of_acceptance(rng, pool3, corpus_exprs):
             for _ in range(5):
                 tgt = universe[:]
                 rng.shuffle(tgt)
-                p = perm_from_lists(universe, tgt)
+                p = dict(zip(universe, tgt))
                 assert accept(a, apply_perm_word(p, w))

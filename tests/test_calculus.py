@@ -35,7 +35,6 @@ from nomre.nominal import (
     Chronicle,
     Letter,
     Name,
-    chronicle,
     is_placeholder,
     name,
     natural_chronicle,
@@ -330,11 +329,14 @@ _N, _M = name("n"), name("m")
 
 @pytest.mark.parametrize("text, pre, post", [
     ("_$n", (_N, _N), natural_chronicle((_N, _N))),  # repeated pre-context name
-    ("<$x.$x>", (_N,), (chronicle([_N], _N), chronicle([_M], _M))),  # post longer than pre
-    ("<$x.$x>", (_N, _M), (chronicle([_N], _N),)),  # post shorter than pre
+    ("<$x.$x>", (_N,), (Chronicle((_N,), _N), Chronicle((_M,), _M))),  # post longer than pre
+    ("<$x.$x>", (_N, _M), (Chronicle((_N,), _N),)),  # post shorter than pre
     ("$n", (_N,), ((_N,),)),  # post of tuples, not chronicles
-    ("1", ("n",), (chronicle(["n"], "n"),)),  # pre of strings, not names
-], ids=["repeated-pre", "long-post", "short-post", "not-chronicles", "not-names"])
+    ("1", ("n",), (Chronicle(("n",), "n"),)),  # pre of strings, not names
+    ("$n", (_N,), (Chronicle(("x",), "x"),)),  # post history of strings, not names
+    ("$n", (_N,), (Chronicle((_N, "x", Letter("a")), _N),)),  # non-names beside a name
+], ids=["repeated-pre", "long-post", "short-post", "not-chronicles", "not-names",
+        "post-not-names", "post-mixed"])
 def test_every_entry_point_rejects_a_malformed_context(text, pre, post):
     e = P(text)
     with pytest.raises(ContextError):
@@ -628,7 +630,6 @@ def test_instances_give_one_word_per_orbit(pool3):
 
 
 def test_permutation_closure_of_language(rng, pool3, corpus_exprs):
-    from nomre.nominal import perm_from_lists
     from nre_helpers import apply_perm_word
 
     extra = [name("g%d" % i) for i in range(3)]
@@ -639,7 +640,7 @@ def test_permutation_closure_of_language(rng, pool3, corpus_exprs):
             for _ in range(4):
                 tgt = universe[:]
                 rng.shuffle(tgt)
-                p = perm_from_lists(universe, tgt)
+                p = dict(zip(universe, tgt))
                 assert language_member(e, apply_perm_word(p, w))
 
 

@@ -181,6 +181,20 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
     # a pool entry without its '$' is rejected, not read as a letter
     assert main(["enumerate", lses_json, "--pool", "r1,r2", "--maxlen", "3"]) == 4
     assert capsys.readouterr().out == ""
+    # nesting past Python's recursion limit is a resource limit: for check, a
+    # crash's exit 1 would read as "not well-formed"
+    deep = tmp_path / "deep.nre"
+    for text, argv in (
+        ("(" * 3000 + "a" + ")" * 3000, ["check", str(deep)]),
+        ("a" + "*" * 5000, ["check", str(deep)]),
+        ("".join("<$x%d. " % i for i in range(300)) + "a" + " >" * 300,
+         ["compile", str(deep), str(tmp_path / "deep.json")]),
+    ):
+        deep.write_text(text)
+        assert main(argv + ["--letters", "a"]) == 5, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("resource limit:") and "recursion limit of %d" % sys.getrecursionlimit() in err
 
 
 def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):

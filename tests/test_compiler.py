@@ -19,7 +19,7 @@ from nomre.corpus import ALPHABET, default_pool, lses_predicate
 from nomre.errors import ContextError
 from nomre.expr import Bind, Cat, Nam, NreClass, Star, Sum, Under, classify, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
-from nomre.nominal import Letter, chronicle, name, natural_chronicle, sys_name
+from nomre.nominal import Chronicle, Letter, name, natural_chronicle, sys_name
 
 A, B = Letter("a"), Letter("b")
 
@@ -50,7 +50,7 @@ def test_compile_lths_register_ceiling():
 
 def test_compile_in_context_name_read():
     na = name("a")
-    t = ContextTriple((na,), Nam(na), (chronicle([na], na),))
+    t = ContextTriple((na,), Nam(na), (Chronicle((na,), na),))
     a = compile_in_context(t)
     assert isinstance(a, Cda)
     assert len(a.states) == 2
@@ -59,12 +59,12 @@ def test_compile_in_context_name_read():
     assert lab.kind == "reg" and lab.index == 1
     # an extant post-context has pairwise distinct current values
     with pytest.raises(ContextError, match="extant"):
-        compile_in_context(ContextTriple((na,), Nam(na), (chronicle([na], na),) * 2))
+        compile_in_context(ContextTriple((na,), Nam(na), (Chronicle((na,), na),) * 2))
 
 
 def test_compile_in_context_under_read():
     na = name("a")
-    t = ContextTriple((na,), Under(na), (chronicle([na], na),))
+    t = ContextTriple((na,), Under(na), (Chronicle((na,), na),))
     a = compile_in_context(t)
     ((f, lab, to),) = a.transitions
     assert lab.kind == "under" and lab.index == 1

@@ -7,7 +7,6 @@ from nomre import extract
 from nomre.automata import (
     Cda,
     CdaClass,
-    EPS,
     State,
     class_of,
     enumerate_words,
@@ -18,73 +17,13 @@ from nomre.compiler import compile_expr
 from nomre.errors import ValidationError
 from nomre.corpus import ALPHABET, all_expr_texts, handbuilt_automata
 from nomre.expr import NreClass, check_wellformed, classify, parse, render
-from nomre.extract import determinize_layers, extract_expr
+from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes
 from nomre.nominal import Letter
 
 
 def P(text):
     return parse(text, ALPHABET)
-
-
-def test_determinize_deterministic_single_layer_is_isomorphic(hand_automata):
-    a = hand_automata["letters_only"]
-    d = determinize_layers(a)
-    assert len(d.states) == len(a.states)
-    assert len(d.transitions) == len(a.transitions)
-    assert equiv_bounded(a, d, (), 6) is None
-
-
-def test_determinize_lses(pool3, hand_automata):
-    a = hand_automata["lses"]
-    d = determinize_layers(a)
-    assert equiv_bounded(a, d, pool3, 6) is None
-    assert not any(lab.kind == "eps" for _, lab, _ in d.transitions)
-
-
-def test_determinize_merges_parallel_eps_branches():
-    a = Cda(
-        (
-            State("s0", 0),
-            State("s1", 0),
-            State("s2", 0),
-            State("s3", 0, True),
-        ),
-        "s0",
-        (
-            ("s0", EPS, "s1"),
-            ("s0", EPS, "s2"),
-            ("s1", lab_letter("a"), "s3"),
-            ("s2", lab_letter("b"), "s3"),
-        ),
-    )
-    d = determinize_layers(a)
-    start_edges = {lab.letter.sym for f, lab, _ in d.transitions if f == d.initial}
-    assert start_edges == {"a", "b"}
-    assert len([s for s in d.states if s.id == d.initial]) == 1
-
-
-def test_determinize_no_eps_and_label_unique(rng, hand_automata):
-    from nomre.genexpr import random_nre
-
-    autos = list(hand_automata.values())
-    autos += [compile_expr(random_nre(rng, size=5)) for _ in range(10)]
-    for a in autos:
-        d = determinize_layers(a)
-        seen = set()
-        for f, lab, t in d.transitions:
-            assert lab.kind != "eps"
-            assert (f, lab) not in seen
-            seen.add((f, lab))
-
-
-def test_determinize_equivalent(rng, pool3, hand_automata):
-    from nomre.genexpr import random_nre
-
-    autos = list(hand_automata.values())
-    autos += [compile_expr(random_nre(rng, size=5)) for _ in range(8)]
-    for a in autos:
-        assert equiv_bounded(a, determinize_layers(a), pool3, 4) is None
 
 
 def test_extract_trivial(pool3):

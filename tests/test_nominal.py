@@ -7,11 +7,9 @@ import pytest
 from nomre.nominal import (
     Chronicle,
     Letter,
-    chronicle,
     hcv,
     name,
     natural_chronicle,
-    perm_from_lists,
     sys_name,
     transpose,
 )
@@ -34,31 +32,6 @@ def test_transpose_swaps_and_fixes():
     assert p.get(k, k) is k
 
 
-def test_perm_from_lists_empty():
-    assert perm_from_lists([], []) == {}
-
-
-def test_perm_from_lists_singleton_completion():
-    assert perm_from_lists([a], [b]) == {a: b, b: a}
-
-
-def test_perm_from_lists_cycle_completion():
-    # the unique deterministic completion on the 3-element support
-    assert perm_from_lists([a, b], [b, c]) == {a: b, b: c, c: a}
-
-
-def test_perm_from_lists_is_a_bijection_extending_the_lists():
-    rng = random.Random(7)
-    universe = [name("x%d" % i) for i in range(8)]
-    for _ in range(200):
-        size = rng.randint(0, 5)
-        ns, ms = rng.sample(universe, size), rng.sample(universe, size)
-        p = perm_from_lists(ns, ms)
-        assert [p[x] for x in ns] == ms
-        # keys and images are both exactly ns ∪ ms: a permutation of it
-        assert set(p) == set(p.values()) == set(ns) | set(ms)
-
-
 def test_perm_inverse_roundtrip():
     # a renaming dict is a bijection on its keys, so swapping keys and
     # values inverts it, off its keys as well
@@ -67,7 +40,7 @@ def test_perm_inverse_roundtrip():
     for _ in range(50):
         shuffled = names[:]
         rng.shuffle(shuffled)
-        p = perm_from_lists(names, shuffled)
+        p = dict(zip(names, shuffled))
         q = {v: k for k, v in p.items()}
         for x in names + [name("outside")]:
             assert q.get(p.get(x, x), x) is x
@@ -81,26 +54,15 @@ def test_perm_compose_action_on_words():
         s1, s2 = names[:], names[:]
         rng.shuffle(s1)
         rng.shuffle(s2)
-        p = perm_from_lists(names, s1)
-        q = perm_from_lists(names, s2)
+        p = dict(zip(names, s1))
+        q = dict(zip(names, s2))
         pq = {x: p.get(q.get(x, x), q.get(x, x)) for x in set(p) | set(q)}
         w = tuple(rng.choice(names) for _ in range(6))
         assert apply_perm_word(p, apply_perm_word(q, w)) == apply_perm_word(pq, w)
 
 
-def test_perm_from_lists_errors():
-    with pytest.raises(ValidationError, match="length mismatch"):
-        perm_from_lists([a], [b, c])
-    with pytest.raises(ValidationError, match="repetition"):
-        perm_from_lists([a, a], [b, c])
-
-
 def test_renaming_helpers_take_names_only():
     for bad in ("a", Letter("a"), None):
-        with pytest.raises(ValidationError, match="maps names to names"):
-            perm_from_lists([bad], [b])
-        with pytest.raises(ValidationError, match="maps names to names"):
-            perm_from_lists([a], [bad])
         with pytest.raises(ValidationError, match="maps names to names"):
             transpose(bad, b)
         with pytest.raises(ValidationError, match="maps names to names"):
@@ -133,41 +95,11 @@ def test_apply_perm_word():
     assert apply_perm_word(p, (la, Letter("b"))) == (la, Letter("b"))
 
 
-def test_chronicle_extend():
-    s = chronicle([n], n)
-    assert s.extend(()) is s
-    s2 = chronicle([a, b], a).extend([c])
-    assert s2.hist == (a, b, c)
-    assert s2.cv is a
-
-
-def test_chronicle_delete():
-    s = chronicle([a, b, a], b).delete([a])
-    assert s.hist == (b,)
-    assert s.cv is b
-    t = chronicle([a, b], a)
-    assert t.delete([]) is t
-    with pytest.raises(ValueError):
-        chronicle([a], a).delete([a])
-
-
 def test_chronicle_cv_must_be_in_history():
     with pytest.raises(ValueError):
         Chronicle((a,), b)
     with pytest.raises(ValueError):
         Chronicle((), a)
-
-
-def test_extend_delete_preserve_cv():
-    rng = random.Random(3)
-    names = [name("z%d" % i) for i in range(6)]
-    for _ in range(40):
-        hist = [rng.choice(names) for _ in range(rng.randint(1, 6))]
-        cv = rng.choice(hist)
-        s = chronicle(hist, cv)
-        assert s.extend([rng.choice(names)]).cv is cv
-        drop = [x for x in names if x is not cv][: rng.randint(0, 3)]
-        assert s.delete(drop).cv is cv
 
 
 def test_canonical_fresh_sequence():
