@@ -15,10 +15,17 @@ from. Configurations then hold input names only, and their number does not
 grow with the input. ``accept`` also forgets each name at its last read, as
 no later token can equal it, so its configurations hold only names that the
 rest of the word reads again. ``nomre.oracle`` chooses real names instead.
+
+eps moves change no register, so the engine never follows one. Each
+automaton keeps a run index, built on first use: every state that a run
+can enter by a non-eps move, or start in, carries the non-eps out-edges of
+its whole eps-closure, and is final when that closure holds a final state
+(classical eps-removal). A closure then follows only ``*`` and close.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 import enum
 import json
 
@@ -160,6 +167,12 @@ class Cda:
     def letters(self):
         return frozenset(l.letter for _, l, _ in self.transitions if l.kind == "letter")
 
+    @cached_property
+    def _run_index(self):
+        """The run engine's index, built on first use (_build_run_index). It
+        is no field, so equality, hashing and serialization ignore it."""
+        return _build_run_index(self)
+
 
 class CdaClass(enum.Enum):
     A = "A#"
@@ -226,6 +239,49 @@ def _forget(regs, token):
     return tuple(out)
 
 
+def _build_run_index(a):
+    """(finals, by_state) over the entry states of a closed automaton: its
+    initial state and the targets of non-eps edges, the only states a macro
+    state holds. An entry state's slot holds the non-eps out-edges of every
+    state of its eps-closure, each once; it is final when that closure holds
+    a final state. One pass over the transitions, then one search of the eps
+    edges per entry state."""
+    if a.state_map()[a.initial].regs:
+        raise ValidationError("only a closed automaton runs: the initial state is not on layer 0")
+    eps, edges, entry = {}, {}, {a.initial: None}
+    for f, lab, t in a.transitions:
+        if lab.kind == "eps":
+            eps.setdefault(f, []).append(t)
+        else:
+            edges.setdefault(f, []).append((lab, t))
+            entry[t] = None
+    final_states = a.finals()
+    finals, by_state = set(), {}
+    for q in entry:
+        reach, todo = {q}, [q]
+        while todo:
+            for t in eps.get(todo.pop(), ()):
+                if t not in reach:
+                    reach.add(t)
+                    todo.append(t)
+        if not final_states.isdisjoint(reach):
+            finals.add(q)
+        slot = by_state[q] = {"star": [], "close": [], "letter": {}, "reg": {}, "under": {}}
+        for p in reach:
+            for lab, t in edges.get(p, ()):
+                if lab.kind == "star":
+                    targets = slot["star"]
+                elif lab.kind == "close":
+                    targets, t = slot["close"], (lab.index, t)
+                elif lab.kind == "letter":
+                    targets = slot["letter"].setdefault(lab.letter, [])
+                else:
+                    targets = slot[lab.kind].setdefault(lab.index, [])
+                if t not in targets:
+                    targets.append(t)
+    return frozenset(finals), by_state
+
+
 class _Engine:
     """Shared machinery for accept/enumerate over one automaton.
 
@@ -236,37 +292,27 @@ class _Engine:
     being current can never be read and drops out, so a configuration
     (state, regs) holds input names only and is its own visited key. In
     ``accept`` a step that forgets its token leaves only names read again.
+
+    Its states are entry states, each with the non-eps edges of its
+    eps-closure, from the index the automaton builds on its first run and
+    keeps for every later one. The step cache is the engine's own.
     """
 
     def __init__(self, a):
-        if a.state_map()[a.initial].regs:
-            raise ValidationError("only a closed automaton runs: the initial state is not on layer 0")
-        self.finals = a.finals()
-        self.by_state = {s.id: {"eps": [], "star": [], "close": [], "letter": {}, "reg": {}, "under": {}} for s in a.states}
-        for f, lab, t in a.transitions:
-            slot = self.by_state[f]
-            if lab.kind in ("eps", "star"):
-                slot[lab.kind].append(t)
-            elif lab.kind == "close":
-                slot["close"].append((lab.index, t))
-            elif lab.kind == "letter":
-                slot["letter"].setdefault(lab.letter, []).append(t)
-            else:
-                slot[lab.kind].setdefault(lab.index, []).append(t)
+        self.finals, self.by_state = a._run_index
         self.steps = {}
 
     def closure(self, configs):
-        """All configs reachable via non-consuming moves (eps, *, close).
-        These bring no new name into a configuration and a state fixes its
-        register count, so finitely many are reachable: the loop ends."""
+        """All configs reachable via non-consuming moves (* and close); the
+        index has already taken every eps move. These bring no new name into
+        a configuration and a state fixes its register count, so finitely
+        many are reachable: the loop ends."""
         out = set(configs)
         frontier = out
         while frontier:
             nxt = []
             for state, regs in frontier:
                 slot = self.by_state[state]
-                for t in slot["eps"]:
-                    nxt.append((t, regs))
                 if slot["star"]:
                     avoid = frozenset(cv for cv, _ in regs if type(cv) is not tuple and cv is not _DEAD)
                     nregs = regs + (((avoid, len(regs) + 1), frozenset()),)
@@ -317,7 +363,9 @@ class _Engine:
 
     def step(self, macro, token, keep):
         """closure(consume(macro, token)), forgetting token unless keep; empty
-        where no run reads the token. Cached for the engine's one call."""
+        where no run reads the token. Each state's slot already holds the
+        non-eps edges of its eps-closure, so no eps move is taken. Cached for
+        the engine's one call."""
         got = self.steps.get((macro, token, keep))
         if got is None:
             stepped = self.consume(macro, token)

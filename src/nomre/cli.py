@@ -19,6 +19,7 @@ from .errors import (
     ResourceLimitError,
     SchemaError,
     ValidationError,
+    too_deep,
 )
 from .nominal import Letter, name
 
@@ -241,8 +242,8 @@ def main(argv=None):
         print("resource limit: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        print("resource limit: input nested too deeply for Python's recursion limit of %d"
-              % sys.getrecursionlimit(), file=sys.stderr)
+        # nesting that reaches a recursive walk other than parse and check_wellformed
+        print("resource limit: %s" % too_deep(), file=sys.stderr)
         return EXIT_RESOURCE
     except (SchemaError, ValidationError, ContextError) as e:
         print("invalid input: %s" % e, file=sys.stderr)

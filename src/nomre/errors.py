@@ -1,5 +1,7 @@
 """Exception hierarchy shared by the whole package."""
 
+import sys
+
 
 class NomreError(Exception):
     """Base class for all package errors."""
@@ -30,3 +32,9 @@ class ContextError(NomreError):
 
 class ResourceLimitError(NomreError):
     """A configured search or forest bound was exceeded."""
+
+
+def too_deep():
+    """The error for input nested past Python's recursion limit."""
+    return ResourceLimitError("input nested too deeply for Python's recursion limit of %d"
+                              % sys.getrecursionlimit())

@@ -22,7 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import ContextError, ParseError
+from .errors import ContextError, ParseError, too_deep
 from .nominal import Chronicle, Letter, Name, check_renaming, hcv, name
 
 
@@ -276,10 +276,14 @@ class _Parser:
 
 
 def parse(text, alphabet=()):
-    """Parse expression text against a declared alphabet of letters."""
+    """Parse expression text against a declared alphabet of letters. Text
+    nested past Python's recursion limit is a ResourceLimitError."""
     alpha = {a.sym if isinstance(a, Letter) else a for a in alphabet}
     p = _Parser(text, _lex(text, alpha))
-    e = p.expr()
+    try:
+        e = p.expr()
+    except RecursionError:
+        raise too_deep() from None
     p.take("eof")
     return e
 
@@ -363,7 +367,8 @@ def check_wellformed(e):
     where each free close name must be held (see ``context_violation``).
     Closedness itself is not a violation (open expressions are legal
     in contexts); callers that need a closed expression check
-    ``report.closed``.
+    ``report.closed``. An expression nested past Python's recursion limit
+    is a ResourceLimitError.
     """
     issues = []
     reads, closes = set(), {"pre": set(), "post": set()}
@@ -395,7 +400,10 @@ def check_wellformed(e):
         elif not isinstance(e, (One, Zero, Lit)):
             raise TypeError(e)
 
-    go(e, frozenset(), ("post",))
+    try:
+        go(e, frozenset(), ("post",))
+    except RecursionError:
+        raise too_deep() from None
     under, perm = Under in kinds, Bind in kinds
     cls = NreClass.UP if under and perm else NreClass.U if under else NreClass.P if perm else NreClass.B
     pre, post = frozenset(closes["pre"]), frozenset(closes["post"])

@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -590,6 +592,84 @@ def test_engine_agrees_with_reference_on_long_words_with_repeated_names():
         a = compile_expr(e)
         for w in _long_words(rng, a, 150):
             assert accept(a, w) == accept_reference(a, w), (render(e), w)
+
+
+def _index_entries(a):
+    _, by_state = a._run_index
+    return sum(len(slot["star"]) + len(slot["close"])
+               + sum(len(ts) for kind in ("letter", "reg", "under") for ts in slot[kind].values())
+               for slot in by_state.values())
+
+
+def test_run_index_is_no_larger_than_the_automaton():
+    # Only the initial state and the targets of non-eps edges get a slot,
+    # and a slot holds each edge of its eps-closure once.
+    a = compile_expr(P("(a + b)* a" + " (a + b)" * 30))
+    entry = {a.initial} | {t for _, l, t in a.transitions if l is not EPS}
+    assert set(a._run_index[1]) == entry
+    assert len(entry) < len(a.states)
+    assert _index_entries(a) <= len(a.transitions)
+    w = (A,) + (B,) * 30
+    assert accept(a, w) and not accept(a, w[1:]) and not accept(a, w + (B,))
+
+
+def test_run_index_changes_no_equality_hash_or_json():
+    a = compile_expr(P(LTHS_TEXT))
+    text, h = to_json(a), hash(a)
+    assert "_run_index" not in vars(a)
+    assert accept(a, (A, B, r1, r2, r2, Letter("d"), r3, Letter("d"), S0))
+    assert "_run_index" in vars(a)
+    b = from_json(text)
+    assert "_run_index" not in vars(b)
+    assert a == b and b == a and hash(a) == hash(b) == h
+    assert to_json(a) == text and repr(a) == repr(b)
+
+
+def test_an_open_automaton_fails_every_run():
+    # the index is not built, and the check is not cached away, for an
+    # automaton whose initial state is on layer 1
+    a = compile_in_context(ContextTriple((r1,), Nam(r1), natural_chronicle((r1,))))
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="closed"):
+            accept(a, (r1,))
+        with pytest.raises(ValidationError, match="closed"):
+            enumerate_words(a, (r1,), 1)
+    assert "_run_index" not in vars(a)
+
+
+def test_one_fresh_automaton_decides_alike_from_many_threads():
+    # 8 threads run accept at once on one automaton whose index is not built
+    # yet; a race may build it twice but changes no verdict
+    D = Letter("d")
+    words = []
+    for n in (1, 2, 3):
+        w = (A, B)
+        for k in range(n):
+            w += (name("r%d" % k), name("l%d" % k), name("l%d" % k), D, name("m%d" % k), D)
+        words += [w, w + (name("r0"),), w[:-1], w + (name("r9"),)]
+    want = [accept(compile_expr(P(LTHS_TEXT)), w) for w in words]
+    assert True in want and False in want
+    a = compile_expr(P(LTHS_TEXT))
+    start = threading.Barrier(8)
+    got = [None] * 8
+
+    def run(k):
+        start.wait()
+        got[k] = {i: accept(a, words[i]) for i in (*range(k, len(words)), *range(k))}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seen in got:
+        assert seen is not None and [seen[i] for i in range(len(words))] == want
 
 
 def test_engine_work_is_linear_in_the_word(monkeypatch):

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from nomre.automata import enumerate_words
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, default_pool
-from nomre.errors import ParseError
+from nomre.errors import ParseError, ResourceLimitError
 from nomre.expr import (
     Bind,
     Cat,
@@ -128,6 +129,32 @@ def test_wellformed_rejects_a_value_that_is_no_expression():
             check_wellformed(bad)
         with pytest.raises(TypeError):
             classify(bad)
+
+
+# nesting past Python's recursion limit is a documented error, not a crash
+# with a bare RecursionError
+DEEP_PARENS = "(" * 3000 + "a" + ")" * 3000
+DEEP_BINDERS = "".join("<$x%d. " % i for i in range(300)) + "a" + " >" * 300
+
+
+def _assert_too_deep(run):
+    with pytest.raises(ResourceLimitError, match="recursion limit of %d" % sys.getrecursionlimit()) as err:
+        run()
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
+def test_parse_of_deeply_nested_parentheses_is_a_resource_limit():
+    _assert_too_deep(lambda: P(DEEP_PARENS))
+
+
+def test_parse_of_deeply_nested_binders_is_a_resource_limit():
+    _assert_too_deep(lambda: P(DEEP_BINDERS))
+
+
+def test_wellformed_of_a_deep_star_tower_is_a_resource_limit():
+    e = P("a" + "*" * 5000)  # the parser reads postfix stars in a loop
+    _assert_too_deep(lambda: check_wellformed(e))
+    _assert_too_deep(lambda: classify(e))
 
 
 def test_wellformed_underline_locality():

@@ -116,3 +116,22 @@ def test_ci_workflows_are_valid_yaml():
     for f in files:
         with open(os.path.join(root, f), encoding="utf-8") as fh:
             assert isinstance(yaml.safe_load(fh), dict), f
+
+
+def test_committed_bench_files_name_a_declared_gain():
+    # each BENCH_<n>.json at the root parses, and a claimed gain names a
+    # workload and an end-to-end metric that BENCHMARK.json declares
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    files = sorted(f for f in os.listdir(root) if f.startswith("BENCH_") and f.endswith(".json"))
+    assert files
+    for f in files:
+        with open(os.path.join(root, f), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        gain = doc["claimed_gain"]
+        if gain is not None:
+            assert gain["workload"] in workloads, f
+            assert gain["metric"] in metrics, f
