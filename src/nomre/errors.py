@@ -31,7 +31,7 @@ class ContextError(NomreError):
 
 
 class ResourceLimitError(NomreError):
-    """A configured search or forest bound was exceeded."""
+    """A configured search or forest bound, or Python's recursion limit, was exceeded."""
 
 
 def too_deep():
