@@ -650,7 +650,7 @@ def test_one_fresh_automaton_decides_alike_from_many_threads():
     want = [accept(compile_expr(P(LTHS_TEXT)), w) for w in words]
     assert True in want and False in want
     a = compile_expr(P(LTHS_TEXT))
-    start = threading.Barrier(8)
+    start = threading.Barrier(8, timeout=60)
     got = [None] * 8
 
     def run(k):
