@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 import enum
 import json
+import sys
 
-from .errors import SchemaError, ValidationError
+from .errors import ResourceLimitError, SchemaError, ValidationError
 from .nominal import Letter, _orbit_words, atom_key, check_bounds, check_word
 
 
@@ -409,7 +410,9 @@ def _representatives(a, pool, maxlen):
 
     A step offers the letters, the pool names already used and the next
     unused one. The automaton holds no names, so its language is closed
-    under renaming and the other words of an orbit are accepted too.
+    under renaming and the other words of an orbit are accepted too. The
+    search recurses once per symbol, so a maxlen near Python's recursion
+    limit is a ResourceLimitError.
     """
     check_bounds(pool, maxlen)
     eng = _Engine(a)
@@ -435,7 +438,11 @@ def _representatives(a, pool, maxlen):
         memo[key] = got = frozenset(out)
         return got
 
-    return go(eng.closure([(a.initial, ())]), maxlen, 0)
+    try:
+        return go(eng.closure([(a.initial, ())]), maxlen, 0)
+    except RecursionError:
+        raise ResourceLimitError("maxlen %d needs a recursion deeper than Python's recursion limit of %d"
+                                 % (maxlen, sys.getrecursionlimit())) from None
 
 
 def enumerate_words(a, pool, maxlen):

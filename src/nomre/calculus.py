@@ -618,12 +618,8 @@ def language_enumerate(e, pool, maxlen):
 
 # ------------------------------------------------------------------- dumps
 
-def _fmt_atoms(xs):
-    return " ".join(map(repr, xs)) if xs else "-"
-
-
 def _fmt_extant(ext):
-    return "[" + ", ".join("%s @ %r" % (_fmt_atoms(c.hist), c.cv) for c in ext) + "]"
+    return "[" + ", ".join("%s @ %r" % (" ".join(map(repr, c.hist)), c.cv) for c in ext) + "]"
 
 
 def _fmt_ctx(pre, e, post):

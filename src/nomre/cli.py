@@ -48,7 +48,7 @@ def parse_word(text):
 def format_word(w):
     if not w:
         return "eps"
-    return " ".join(t.sym if isinstance(t, Letter) else "$" + t.key for t in w)
+    return " ".join(map(repr, w))
 
 
 def _parse_pool(text):
@@ -96,8 +96,7 @@ def cmd_check(args):
     rep = check_wellformed(e)
     print("class: %s" % rep.nre_class.value)
     if rep.ok:
-        print("well-formed" + ("" if rep.closed else " (open: %s)" % ", ".join(
-            sorted("$" + n.key for n in rep.free))))
+        print("well-formed" + ("" if rep.closed else " (open: %s)" % ", ".join(sorted(map(repr, rep.free)))))
         return 0
     for issue in rep.issues:
         print(str(issue))
@@ -242,7 +241,7 @@ def main(argv=None):
         print("resource limit: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        # nesting that reaches a recursive walk other than parse and check_wellformed
+        # nesting that reaches a recursive walk that does not map it itself
         print("resource limit: %s" % too_deep(), file=sys.stderr)
         return EXIT_RESOURCE
     except (SchemaError, ValidationError, ContextError) as e:

@@ -28,38 +28,27 @@ from .nominal import Chronicle, Letter, Name, check_renaming, hcv, name
 
 @dataclass(frozen=True, slots=True)
 class One:
-    def __repr__(self):
-        return "1"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Zero:
-    def __repr__(self):
-        return "0"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Lit:
     s: Letter
 
-    def __repr__(self):
-        return self.s.sym
-
 
 @dataclass(frozen=True, slots=True)
 class Nam:
     n: Name
 
-    def __repr__(self):
-        return repr(self.n)
-
 
 @dataclass(frozen=True, slots=True)
 class Under:
     n: Name
-
-    def __repr__(self):
-        return "_" + repr(self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,22 +279,26 @@ def parse(text, alphabet=()):
 
 # --------------------------------------------------------------- rendering
 
-def _prec(e):
-    # 0 = sum, 1 = concat, 2 = star/atom
-    if isinstance(e, Sum):
-        return 0
-    if isinstance(e, Cat):
-        return 1
-    return 2
-
-
-def _wrap(e, minimum):
-    s = render(e)
-    return "(" + s + ")" if _prec(e) < minimum else s
-
-
 def render(e):
-    """Canonical text form; parse(render(e)) is structurally e."""
+    """Canonical text form; parse(render(e)) is structurally e. An
+    expression nested past Python's recursion limit is a ResourceLimitError."""
+    try:
+        return _render(e, 0)
+    except RecursionError:
+        raise too_deep() from None
+
+
+def _render(e, prec):
+    """e's text, parenthesized when e binds looser than prec: 0 for a sum,
+    1 for a concatenation, 2 for a star or an atom."""
+    if isinstance(e, Sum):
+        s = "%s + %s" % (_render(e.l, 0), _render(e.r, 1))
+        return "(" + s + ")" if prec > 0 else s
+    if isinstance(e, Cat):
+        s = "%s %s" % (_render(e.l, 1), _render(e.r, 2))
+        return "(" + s + ")" if prec > 1 else s
+    if isinstance(e, Star):
+        return _render(e.e, 2) + "*"
     if isinstance(e, One):
         return "1"
     if isinstance(e, Zero):
@@ -316,14 +309,8 @@ def render(e):
         return repr(e.n)
     if isinstance(e, Under):
         return "_" + repr(e.n)
-    if isinstance(e, Sum):
-        return "%s + %s" % (_wrap(e.l, 0), _wrap(e.r, 1) if isinstance(e.r, Sum) else _wrap(e.r, 0))
-    if isinstance(e, Cat):
-        return "%s %s" % (_wrap(e.l, 1), _wrap(e.r, 2) if isinstance(e.r, Cat) else _wrap(e.r, 1))
-    if isinstance(e, Star):
-        return _wrap(e.e, 2) + "*"
     if isinstance(e, Bind):
-        body = render(e.body)
+        body = _render(e.body, 0)
         if e.close is e.n:
             return "<%r.%s>" % (e.n, body)
         return "<%r.%s>%r" % (e.n, body, e.close)
@@ -383,7 +370,7 @@ def check_wellformed(e):
             kinds.add(Under)
             if e.n not in bound:
                 reads.add(e.n)
-                issues.append(Issue("underline-locality", render(e), "_$%s has no enclosing binder of $%s" % (e.n.key, e.n.key)))
+                issues.append(Issue("underline-locality", render(e), "_%r has no enclosing binder of %r" % (e.n, e.n)))
         elif isinstance(e, (Sum, Cat)):
             go(e.l, bound, ("pre",) if isinstance(e, Cat) else where)
             go(e.r, bound, where)
@@ -395,7 +382,7 @@ def check_wellformed(e):
                 if e.close not in bound:
                     for ctx in where:
                         closes[ctx].add(e.close)
-                    issues.append(Issue("scope-condition", render(e), "close name $%s is not bound by an enclosing binder" % e.close.key))
+                    issues.append(Issue("scope-condition", render(e), "close name %r is not bound by an enclosing binder" % (e.close,)))
             go(e.body, bound | {e.n}, where)
         elif not isinstance(e, (One, Zero, Lit)):
             raise TypeError(e)

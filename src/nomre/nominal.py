@@ -18,7 +18,33 @@ import itertools
 from .errors import ValidationError
 
 
-class Name:
+class _Atom:
+    """An interned immutable atom: equal fields give the identical object,
+    also after pickle, copy and deepcopy, which rebuild it through the
+    constructor. A subclass lists its fields in __slots__ and keeps its own
+    _table; setdefault makes a race between two threads intern one object."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        obj = cls._table.get(fields)
+        if obj is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError("%s takes %s" % (cls.__name__, ", ".join(cls.__slots__)))
+            obj = super().__new__(cls)
+            for slot, value in zip(cls.__slots__, fields):
+                object.__setattr__(obj, slot, value)
+            obj = cls._table.setdefault(fields, obj)
+        return obj
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+class Name(_Atom):
     """An atom of the name universe. Interned: equal names are identical."""
 
     __slots__ = ("kind", "key")
@@ -28,18 +54,6 @@ class Name:
     K_PH = 2
 
     _table = {}
-
-    def __new__(cls, kind, key):
-        cached = cls._table.get((kind, key))
-        if cached is not None:
-            return cached
-        obj = super().__new__(cls)
-        object.__setattr__(obj, "kind", kind)
-        object.__setattr__(obj, "key", key)
-        return cls._table.setdefault((kind, key), obj)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Name is immutable")
 
     def sort_key(self):
         return (self.kind, self.key)
@@ -74,22 +88,11 @@ def is_placeholder(x):
     return isinstance(x, Name) and x.kind == Name.K_PH
 
 
-class Letter:
+class Letter(_Atom):
     """A symbol of the finite alphabet. Interned like Name."""
 
     __slots__ = ("sym",)
     _table = {}
-
-    def __new__(cls, sym):
-        cached = cls._table.get(sym)
-        if cached is not None:
-            return cached
-        obj = super().__new__(cls)
-        object.__setattr__(obj, "sym", sym)
-        return cls._table.setdefault(sym, obj)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Letter is immutable")
 
     def __repr__(self):
         return self.sym

@@ -45,7 +45,7 @@ from nomre.corpus import (
     lonet_automaton,
     lses_automaton,
 )
-from nomre.errors import SchemaError, ValidationError
+from nomre.errors import ResourceLimitError, SchemaError, ValidationError
 from nomre.expr import Bind, Cat, Nam, parse, render
 from nomre.extract import extract_expr
 from nomre.genexpr import corpus_of_classes, random_nre
@@ -573,11 +573,10 @@ def _long_words(rng, a, count):
                 w += (read[-1],)
                 break
             names = pool[: len(set(read)) + 1]
-            live = [t for t in letters + names
-                    if macro is not None and eng.step(macro, t, True) is not None]
+            live = [t for t in letters + names if eng.step(macro, t, True)]
             kind = letters if rng.random() < 0.3 else names
             t = rng.choice([t for t in kind if t in live] or live or kind)
-            macro = None if macro is None else eng.step(macro, t, True)
+            macro = eng.step(macro, t, True)
             w += (t,)
         yield w
 
@@ -588,10 +587,15 @@ def test_engine_agrees_with_reference_on_long_words_with_repeated_names():
     rng = random.Random(1515)
     texts = (LSES_TEXT, LONET_TEXT, LTHS_TEXT, SUCC_DISTINCT_TEXT)
     exprs = [P(t) for t in texts] + corpus_of_classes(seed=15, total=200)[::10]
-    for e in exprs:
+    for k, e in enumerate(exprs):
         a = compile_expr(e)
+        accepted = 0
         for w in _long_words(rng, a, 150):
-            assert accept(a, w) == accept_reference(a, w), (render(e), w)
+            got = accept(a, w)
+            assert got == accept_reference(a, w), (render(e), w)
+            accepted += got
+        # the words that follow runs reach a final state on the corpus languages
+        assert accepted or k >= len(texts), render(e)
 
 
 def _index_entries(a):
@@ -804,6 +808,19 @@ def test_enumerations_reject_bad_bounds(pool3):
     # reserved names and placeholders are names like any other
     want = {(A, B), (A, B, S0), (A, B, P1)}
     assert enumerate_words(a, (S0, P1), 3) == language_enumerate(e, (S0, P1), 3) == want
+
+
+def test_enumerations_past_the_recursion_limit_are_a_resource_limit(hand_automata):
+    # the search recurses once per symbol, so a long bound is too deep although
+    # nothing is nested
+    a = hand_automata["letters_only"]
+    assert len(enumerate_words(a, (r1,), 500)) == 250
+    maxlen = sys.getrecursionlimit() + 200
+    for run in (enumerate_words, lambda a, pool, n: equiv_bounded(a, a, pool, n)):
+        with pytest.raises(ResourceLimitError, match="maxlen %d .* recursion limit of %d"
+                           % (maxlen, sys.getrecursionlimit())) as err:
+            run(a, (r1,), maxlen)
+        assert err.value.__suppress_context__
 
 
 def test_enumerate_words_agrees_with_reference(corpus_exprs, oracle_pools):

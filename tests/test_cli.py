@@ -11,7 +11,7 @@ import nomre.oracle
 from nomre.automata import Cda, State, from_json, lab_letter, to_json
 from nomre.cli import build_parser, main, parse_word
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
-from nomre.corpus import ALPHABET, LSES_TEXT, lses_automaton
+from nomre.corpus import ALPHABET, LSES_TEXT, handbuilt_automata, lses_automaton
 from nomre.expr import Bind, Nam, parse
 from nomre.nominal import name, natural_chronicle
 
@@ -46,6 +46,13 @@ def test_check_lths(tmp_path, capsys):
     rc = main(["check", str(p), "--letters", "a,b,d"])
     assert rc == 0
     assert "class: up-NRE" in capsys.readouterr().out
+
+
+def test_check_open_expression(tmp_path, capsys):
+    p = tmp_path / "open.nre"
+    p.write_text("$n <$n.$n> $n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "class: b-NRE\nwell-formed (open: $n)\n"
 
 
 def test_check_underline_locality(tmp_path, capsys):
@@ -195,6 +202,15 @@ def test_exit_codes(lses_file, lses_json, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.startswith("resource limit:") and "recursion limit of %d" % sys.getrecursionlimit() in err
+
+
+def test_enumerate_past_the_recursion_limit_names_maxlen(tmp_path, capsys):
+    p = tmp_path / "letters.json"
+    p.write_text(to_json(handbuilt_automata()["letters_only"]))
+    maxlen = sys.getrecursionlimit() + 200
+    assert main(["enumerate", str(p), "--pool", "$r1", "--maxlen", str(maxlen)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit: maxlen %d " % maxlen)
 
 
 def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):

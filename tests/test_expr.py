@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from nomre.automata import enumerate_words
+from nomre.automata import Cda, State, enumerate_words, lab_letter
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, default_pool
 from nomre.errors import ParseError, ResourceLimitError
@@ -26,6 +26,7 @@ from nomre.expr import (
     parse,
     render,
 )
+from nomre.extract import extract_expr
 from nomre.genexpr import random_nre
 from nomre.nominal import Letter, name, transpose
 from nre_helpers import binder_depth, rename_bound
@@ -155,6 +156,25 @@ def test_wellformed_of_a_deep_star_tower_is_a_resource_limit():
     e = P("a" + "*" * 5000)  # the parser reads postfix stars in a loop
     _assert_too_deep(lambda: check_wellformed(e))
     _assert_too_deep(lambda: classify(e))
+
+
+def test_render_of_a_long_word_is_a_resource_limit():
+    # the parser reads juxtaposed letters in a loop, but each one nests the
+    # binary tree it builds a level deeper
+    e = P(" ".join(["a"] * 2000))
+    _assert_too_deep(lambda: render(e))
+
+
+def _letter_chain(n):
+    states = [State("q%d" % i, 0, i == n) for i in range(n + 1)]
+    return Cda(states, "q0", [("q%d" % i, lab_letter("a"), "q%d" % (i + 1)) for i in range(n)])
+
+
+def test_render_takes_one_frame_per_nesting_level():
+    # a 700-state chain extracts to an expression 602 levels deep
+    text = render(extract_expr(_letter_chain(700)))
+    assert text.count("a") == 700 and render(P(text)) == text
+    _assert_too_deep(lambda: render(extract_expr(_letter_chain(2000))))
 
 
 def test_wellformed_underline_locality():

@@ -1,15 +1,25 @@
+from concurrent.futures import ProcessPoolExecutor
+import copy
+import itertools
+import multiprocessing
+import pickle
 import random
 import sys
 import threading
 
 import pytest
 
+from nomre.automata import accept, enumerate_words, word_sort_key
+from nomre.calculus import schematic_words_of
+from nomre.compiler import compile_expr
+from nomre.corpus import ALPHABET, LSES_TEXT, LTHS_TEXT, default_pool
 from nomre.nominal import (
     Chronicle,
     Letter,
     hcv,
     name,
     natural_chronicle,
+    placeholder,
     sys_name,
     transpose,
 )
@@ -151,3 +161,33 @@ def test_interning_is_thread_safe():
                 assert all(x is y and u is v for (x, u), (y, v) in zip(got[0], objs))
     finally:
         sys.setswitchinterval(old)
+
+
+def _copies(x):
+    return pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)
+
+
+def test_atoms_pickle_and_copy_to_the_interned_object():
+    for x in (name("x"), sys_name(3), placeholder(2), Letter("a")):
+        assert all(y is x for y in _copies(x))
+    # values that hold atoms come back equal, and an automaton's run index,
+    # keyed by letters, still finds the letters of a word
+    e = parse(LTHS_TEXT, ALPHABET)
+    a = compile_expr(e)
+    before = _copies(a)
+    words = sorted(enumerate_words(a, default_pool(3), 5), key=word_sort_key)
+    words += [w[::-1] for w in words]
+    after = _copies(a)
+    assert all("_run_index" in vars(b) for b in after)
+    sws = schematic_words_of(parse(LSES_TEXT, ALPHABET), maxlen=4)
+    chron = Chronicle((n, m), m)
+    for value, copies in ((e, _copies(e)), (a, before), (a, after), (sws, _copies(sws)),
+                          (chron, _copies(chron))):
+        assert all(y == value for y in copies)
+    want = [accept(a, w) for w in words]
+    assert True in want and False in want
+    for b in before + after:
+        assert [accept(b, w) for w in words] == want
+    # a fresh interpreter interns the atoms of what it unpickles anew
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert list(pool.map(accept, itertools.repeat(after[0]), words, timeout=120)) == want
