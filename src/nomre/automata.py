@@ -24,21 +24,24 @@ its whole eps-closure, and is final when that closure holds a final state
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 import enum
-import json
 import sys
 
 from .errors import ResourceLimitError, SchemaError, ValidationError
-from .nominal import Letter, _orbit_words, atom_key, check_bounds, check_word
+from .nominal import Letter, _Value, _orbit_words, _set, atom_key, check_bounds, check_word
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
-    kind: str
-    letter: Letter | None = None
-    index: int | None = None
+class Label(_Value):
+    """A transition label: its kind, and a Letter for a letter or an int
+    register index for reg, under and close."""
+
+    __slots__ = ("kind", "letter", "index")
+
+    def __init__(self, kind, letter=None, index=None):
+        _set(self, "kind", kind)
+        _set(self, "letter", letter)
+        _set(self, "index", index)
 
     def shaped(self):
         """Whether the fields fit the kind: a Letter only for a letter, an int index only
@@ -89,19 +92,20 @@ def lab_close(i):
     return Label("close", index=i)
 
 
-@dataclass(frozen=True, slots=True)
-class State:
-    id: str
-    regs: int
-    final: bool = False
+class State(_Value):
+    __slots__ = ("id", "regs", "final")
+
+    def __init__(self, id, regs, final=False):
+        _set(self, "id", id)
+        _set(self, "regs", regs)
+        _set(self, "final", final)
 
 
 # kind -> change of layer
 _DELTA = {"eps": 0, "star": 1, "letter": 0, "reg": 0, "under": 0, "close": -1}
 
 
-@dataclass(frozen=True)
-class Cda:
+class Cda(_Value):
     """A chronicle deallocating automaton, immutable once built.
 
     Construction raises ValidationError unless ``*`` enters the next layer,
@@ -110,14 +114,11 @@ class Cda:
     closed automaton, whose initial state is on layer 0, runs or extracts.
     """
 
-    states: tuple
-    initial: str
-    transitions: tuple  # (from_id, Label, to_id)
+    # a transition is (from_id, Label, to_id); __dict__ holds the run index
+    __slots__ = ("states", "initial", "transitions", "__dict__")
 
-    def __post_init__(self):
-        states, transitions = tuple(self.states), tuple(self.transitions)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", transitions)
+    def __init__(self, states, initial, transitions):
+        states, transitions = tuple(states), tuple(transitions)
         bad = []
         layer = {}
         finals = []
@@ -133,9 +134,9 @@ class Cda:
             if s.final:
                 finals.append(s)
             layer[s.id] = s.regs
-        k = layer.get(self.initial) if type(self.initial) is str else None
+        k = layer.get(initial) if type(initial) is str else None
         if k is None:
-            bad.append("initial state %r missing" % (self.initial,))
+            bad.append("initial state %r missing" % (initial,))
         else:
             bad.extend("final state %s is not on the initial layer %d" % (s.id, k)
                        for s in finals if s.regs != k)
@@ -158,6 +159,9 @@ class Cda:
                 bad.append("register index out of range [%s -%r-> %s]" % tr)
         if bad:
             raise ValidationError("invalid automaton: %s" % "; ".join(bad))
+        _set(self, "states", states)
+        _set(self, "initial", initial)
+        _set(self, "transitions", transitions)
 
     def state_map(self):
         return {s.id: s for s in self.states}
@@ -182,9 +186,11 @@ class CdaClass(enum.Enum):
     CDA = "CDA#"
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    tag: CdaClass
+class ClassInfo(_Value):
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        _set(self, "tag", tag)
 
 
 def class_of(a):
@@ -519,6 +525,8 @@ def _document(a):
 
 
 def to_json(a):
+    import json  # on use: a process that reads and writes no JSON never loads it
+
     return json.dumps(_document(a), indent=2, sort_keys=True)
 
 
@@ -552,6 +560,8 @@ def from_json(text):
     """The automaton that a to_json document describes. A state may omit
     "final", which defaults to false; any other missing, extra or repeated
     key, and any value of the wrong type, is a SchemaError."""
+    import json
+
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:

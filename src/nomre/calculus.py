@@ -22,7 +22,6 @@ are determined.
 """
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .errors import ContextError, ResourceLimitError
 from .expr import (
@@ -45,6 +44,8 @@ from .nominal import (
     Chronicle,
     Letter,
     Name,
+    _Value,
+    _set,
     atom_key,
     check_bounds,
     check_word,
@@ -61,39 +62,47 @@ from .nominal import (
 
 # ------------------------------------------------------------- conditions
 
-@dataclass(frozen=True, slots=True)
-class Neq:
-    l: object
-    r: object
+class Neq(_Value):
+    __slots__ = ("l", "r")
+
+    def __init__(self, l, r):
+        _set(self, "l", l)
+        _set(self, "r", r)
 
     def __repr__(self):
         return "%r != %r" % (self.l, self.r)
 
 
-@dataclass(frozen=True, slots=True)
-class Local:
-    p: Name
-    wrt: tuple
+class Local(_Value):
+    __slots__ = ("p", "wrt")
+
+    def __init__(self, p, wrt):
+        _set(self, "p", p)
+        _set(self, "wrt", wrt)
 
     def __repr__(self):
         return "%r # %s" % (self.p, " ".join(map(repr, self.wrt)))
 
 
-@dataclass(frozen=True, slots=True)
-class Global:
-    p: Name
-    reg: int
-    wrt: tuple
+class Global(_Value):
+    __slots__ = ("p", "reg", "wrt")
+
+    def __init__(self, p, reg, wrt):
+        _set(self, "p", p)
+        _set(self, "reg", reg)
+        _set(self, "wrt", wrt)
 
     def __repr__(self):
         return "%r #_%d %s" % (self.p, self.reg, " ".join(map(repr, self.wrt)))
 
 
-@dataclass(frozen=True, slots=True)
-class SchematicWord:
-    word: tuple
-    cond: tuple
-    void: bool = False
+class SchematicWord(_Value):
+    __slots__ = ("word", "cond", "void")
+
+    def __init__(self, word, cond, void=False):
+        _set(self, "word", word)
+        _set(self, "cond", cond)
+        _set(self, "void", void)
 
     def __repr__(self):
         if self.void:
@@ -108,18 +117,22 @@ VOID = SchematicWord((), (), True)
 
 # -------------------------------------------------------- context calculus
 
-@dataclass(eq=False)
-class DerivationTree:
+class DerivationTree(_Value):
     """One resolved derivation node; sums chosen, stars unfolded. The trees
     of one forest share subtrees, so a node compares by identity and holds
-    no evaluation result."""
+    no evaluation result. h is a star node's unfolding count."""
 
-    rule: str
-    pre: tuple
-    expr: object
-    post: tuple
-    children: tuple = ()
-    h: int | None = None
+    __slots__ = ("rule", "pre", "expr", "post", "children", "h")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rule, pre, expr, post, children=(), h=None):
+        _set(self, "rule", rule)
+        _set(self, "pre", pre)
+        _set(self, "expr", expr)
+        _set(self, "post", post)
+        _set(self, "children", children)
+        _set(self, "h", h)
 
 
 def _binder_subcontext(e, pre, post):
@@ -408,7 +421,9 @@ def schematic_normalize(sw: SchematicWord) -> SchematicWord:
     if sw.void:
         return VOID
     conds = tuple(
-        c if isinstance(c, Neq) else replace(c, wrt=tuple(dict.fromkeys(c.wrt)))
+        c if isinstance(c, Neq)
+        else Local(c.p, tuple(dict.fromkeys(c.wrt))) if isinstance(c, Local)
+        else Global(c.p, c.reg, tuple(dict.fromkeys(c.wrt)))
         for c in sw.cond if isinstance(c, Neq) or c.wrt
     )
     base = SchematicWord(sw.word, conds)

@@ -20,59 +20,70 @@ whitespace; ``<$n.$n> $m`` is a self-closing binder followed by the name m.
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .errors import ContextError, ParseError, too_deep
-from .nominal import Chronicle, Letter, Name, check_renaming, hcv, name
+from .nominal import Chronicle, Letter, Name, _Value, _set, check_renaming, hcv, name
 
 
-@dataclass(frozen=True, slots=True)
-class One:
-    pass
+class One(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
-    pass
+class Zero(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    s: Letter
+class Lit(_Value):
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        _set(self, "s", s)
 
 
-@dataclass(frozen=True, slots=True)
-class Nam:
-    n: Name
+class Nam(_Value):
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class Under:
-    n: Name
+class Under(_Value):
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
-    l: "Nre"
-    r: "Nre"
+class Sum(_Value):
+    __slots__ = ("l", "r")
+
+    def __init__(self, l, r):
+        _set(self, "l", l)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True, slots=True)
-class Cat:
-    l: "Nre"
-    r: "Nre"
+class Cat(_Value):
+    __slots__ = ("l", "r")
+
+    def __init__(self, l, r):
+        _set(self, "l", l)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True, slots=True)
-class Star:
-    e: "Nre"
+class Star(_Value):
+    __slots__ = ("e",)
+
+    def __init__(self, e):
+        _set(self, "e", e)
 
 
-@dataclass(frozen=True, slots=True)
-class Bind:
-    n: Name
-    body: "Nre"
-    close: Name
+class Bind(_Value):
+    __slots__ = ("n", "body", "close")
+
+    def __init__(self, n, body, close):
+        _set(self, "n", n)
+        _set(self, "body", body)
+        _set(self, "close", close)
 
 
 Nre = One | Zero | Lit | Nam | Under | Sum | Cat | Star | Bind
@@ -81,8 +92,7 @@ ONE = One()
 ZERO = Zero()
 
 
-@dataclass(frozen=True)
-class ContextTriple:
+class ContextTriple(_Value):
     """An expression in context ``C ‡ e ‡ E``. The pre-context C holds
     pairwise distinct names, outermost first; the post-context E is an
     extant chronicle: one Chronicle of names per name of C, with pairwise
@@ -90,20 +100,19 @@ class ContextTriple:
     place the contract is checked; a context that breaks it raises
     ContextError."""
 
-    pre: tuple
-    payload: object
-    post: tuple
+    __slots__ = ("pre", "payload", "post")
 
-    def __post_init__(self):
-        pre, post = tuple(self.pre), tuple(self.post)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
+    def __init__(self, pre, payload, post):
+        pre, post = tuple(pre), tuple(post)
         if not all(isinstance(n, Name) for n in pre) or len(set(pre)) != len(pre):
             raise ContextError("pre-context must hold pairwise distinct names: %r" % (list(pre),))
         if (len(post) != len(pre) or not all(isinstance(c, Chronicle) for c in post)
                 or not all(isinstance(x, Name) for c in post for x in c.hist)
                 or len(set(hcv(post))) != len(post)):
             raise ContextError("post-context must be an extant chronicle of names, one per pre-context name: %r" % (post,))
+        _set(self, "pre", pre)
+        _set(self, "payload", payload)
+        _set(self, "post", post)
 
 
 def context_violation(t):
@@ -319,25 +328,34 @@ def _render(e, prec):
 
 # ---------------------------------------------------------------- analysis
 
-@dataclass(frozen=True, slots=True)
-class Issue:
-    kind: str
-    subterm: str
-    detail: str
+class Issue(_Value):
+    __slots__ = ("kind", "subterm", "detail")
+
+    def __init__(self, kind, subterm, detail):
+        _set(self, "kind", kind)
+        _set(self, "subterm", subterm)
+        _set(self, "detail", detail)
 
     def __str__(self):
         return "%s at `%s`: %s" % (self.kind, self.subterm, self.detail)
 
 
-@dataclass(frozen=True, slots=True)
-class WfReport:
-    ok: bool
-    issues: tuple
-    free: frozenset
-    nre_class: NreClass
-    free_reads: frozenset  # the free names that some $n or _$n reads
-    closes_in_pre: frozenset  # free close names of a binder after a Cat's left or in a star
-    closes_in_post: frozenset  # free close names of a binder in tail position
+class WfReport(_Value):
+    """What check_wellformed finds. free_reads: the free names that some $n
+    or _$n reads; closes_in_pre: the free close names of a binder after a
+    Cat's left or in a star; closes_in_post: those of a binder in tail
+    position."""
+
+    __slots__ = ("ok", "issues", "free", "nre_class", "free_reads", "closes_in_pre", "closes_in_post")
+
+    def __init__(self, ok, issues, free, nre_class, free_reads, closes_in_pre, closes_in_post):
+        _set(self, "ok", ok)
+        _set(self, "issues", issues)
+        _set(self, "free", free)
+        _set(self, "nre_class", nre_class)
+        _set(self, "free_reads", free_reads)
+        _set(self, "closes_in_pre", closes_in_pre)
+        _set(self, "closes_in_post", closes_in_post)
 
     @property
     def closed(self):
@@ -410,9 +428,14 @@ def free_names(e):
 def apply_perm_expr(m, e):
     """Structural action of the renaming dict m (identity off its keys);
     maps binder and close names too. A non-injective m would capture names,
-    so it is a ValidationError, as is a key or value that is no name."""
+    so it is a ValidationError, as is a key or value that is no name. An
+    expression nested past Python's recursion limit is a
+    ResourceLimitError."""
     check_renaming(m)
-    return _rename(m, e)
+    try:
+        return _rename(m, e)
+    except RecursionError:
+        raise too_deep() from None
 
 
 def _rename(m, e):
@@ -460,8 +483,12 @@ def _alpha_canon(e, env):
 
 
 def alpha_eq(e1, e2):
-    """Equality up to consistent renaming of bound names."""
-    return _alpha_canon(e1, []) == _alpha_canon(e2, [])
+    """Equality up to consistent renaming of bound names. An expression
+    nested past Python's recursion limit is a ResourceLimitError."""
+    try:
+        return _alpha_canon(e1, []) == _alpha_canon(e2, [])
+    except RecursionError:
+        raise too_deep() from None
 
 
 def classify_first_degree(e):
@@ -474,7 +501,8 @@ def classify_first_degree(e):
     when the body under the whole prefix is no such fne. Only the whole
     prefix can fit: a shorter one leaves a self-closing binder at the head
     of the body, and fne admits no self-closing binder (its close name
-    would have to be a prefix name and not one at once).
+    would have to be a prefix name and not one at once). An expression
+    nested past Python's recursion limit is a ResourceLimitError.
     """
     prefix = []
     node = e
@@ -500,4 +528,7 @@ def classify_first_degree(e):
             )
         return False
 
-    return len(prefix) if fne_ok(node, set(prefix)) else None
+    try:
+        return len(prefix) if fne_ok(node, set(prefix)) else None
+    except RecursionError:
+        raise too_deep() from None

@@ -12,13 +12,28 @@ Names, letters and chronicles are immutable and safe to share across
 threads; each renaming is a new dict that belongs to its caller.
 """
 
-from dataclasses import dataclass
 import itertools
+import operator
 
 from .errors import ValidationError
 
 
-class _Atom:
+_set = object.__setattr__  # how a constructor sets a field
+
+
+class _Frozen:
+    """No assignment to, or deletion of, an attribute after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, _):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class _Atom(_Frozen):
     """An interned immutable atom: equal fields give the identical object,
     also after pickle, copy and deepcopy, which rebuild it through the
     constructor. A subclass lists its fields in __slots__ and keeps its own
@@ -33,15 +48,50 @@ class _Atom:
                 raise TypeError("%s takes %s" % (cls.__name__, ", ".join(cls.__slots__)))
             obj = super().__new__(cls)
             for slot, value in zip(cls.__slots__, fields):
-                object.__setattr__(obj, slot, value)
+                _set(obj, slot, value)
             obj = cls._table.setdefault(fields, obj)
         return obj
 
-    def __setattr__(self, *_):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
     def __reduce__(self):
         return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+def _hash_fields(v):
+    return hash(v._get(v))
+
+
+def _hash_field(v):  # the attrgetter of one field gives it bare
+    return hash((v._get(v),))
+
+
+class _Value(_Frozen):
+    """An immutable value. A subclass lists its fields in __slots__, in
+    constructor order, and sets them with _set in its own __init__; a
+    "__dict__" entry there is no field but room for cached properties.
+    Values are equal when they have the same class and equal fields, and
+    hash as their field tuple; repr is Class(field=value, ...). pickle, copy
+    and deepcopy rebuild a value through its constructor, then restore its
+    __dict__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(s for s in cls.__slots__ if s != "__dict__")
+        cls._get = operator.attrgetter(*cls._fields) if cls._fields else staticmethod(lambda v: ())
+        if "__hash__" not in vars(cls):
+            cls.__hash__ = _hash_field if len(cls._fields) == 1 else _hash_fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._get(self) == other._get(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields), getattr(self, "__dict__", None)
 
 
 class Name(_Atom):
@@ -169,18 +219,18 @@ def _orbit_words(reps, pool):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Chronicle:
-    """A register's history word plus its designated current value."""
+class Chronicle(_Value):
+    """A register's history word (a tuple) plus its designated current value."""
 
-    hist: tuple
-    cv: Name
+    __slots__ = ("hist", "cv")
 
-    def __post_init__(self):
-        if not self.hist:
+    def __init__(self, hist, cv):
+        if not hist:
             raise ValueError("chronicle history must be non-empty")
-        if self.cv not in self.hist:
-            raise ValueError("current value %r not in history" % (self.cv,))
+        if cv not in hist:
+            raise ValueError("current value %r not in history" % (cv,))
+        _set(self, "hist", hist)
+        _set(self, "cv", cv)
 
     def dedup(self):
         """Remove repeated history entries, keeping first occurrences."""

@@ -15,23 +15,24 @@ those the words leave open. No module of the package imports this one.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 import itertools
 
 from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schematic_normalize
 from .calculus import _cond_ok
 from .errors import ResourceLimitError, ValidationError
 from .expr import ContextTriple
-from .nominal import Chronicle, Name, hcv, is_placeholder, sys_name
+from .nominal import Chronicle, Name, _Value, _set, hcv, is_placeholder, sys_name
 
 
 # ----------------------------------------------------------- run semantics
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    state: str
-    pos: int
-    extant: tuple  # of Chronicle, register order
+class Configuration(_Value):
+    __slots__ = ("state", "pos", "extant")  # extant: a tuple of Chronicles, register order
+
+    def __init__(self, state, pos, extant):
+        _set(self, "state", state)
+        _set(self, "pos", pos)
+        _set(self, "extant", extant)
 
 
 def canonical_fresh(avoid):

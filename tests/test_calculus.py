@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -143,10 +142,15 @@ def _placeholders(sw):
     return list(dict.fromkeys(x for x in itertools.chain(*atoms) if is_placeholder(x)))
 
 
+def _like(c, p, wrt):
+    """The Local or Global c with p and wrt in place of its own."""
+    return Local(p, wrt) if isinstance(c, Local) else Global(p, c.reg, wrt)
+
+
 def _subst(sw, ren):
     r = lambda x: ren.get(x, x)
     conds = tuple(Neq(r(c.l), r(c.r)) if isinstance(c, Neq)
-                  else replace(c, p=r(c.p), wrt=tuple(map(r, c.wrt))) for c in sw.cond)
+                  else _like(c, r(c.p), tuple(map(r, c.wrt))) for c in sw.cond)
     return SchematicWord(tuple(map(r, sw.word)), conds)
 
 
@@ -158,9 +162,9 @@ def _mutants(sw):
     for i, c in enumerate(conds):
         yield SchematicWord(sw.word, tuple(conds[:i] + conds[i + 1:]))
         if isinstance(c, Global):
-            yield SchematicWord(sw.word, tuple(conds[:i] + [replace(c, reg=c.reg + 1)] + conds[i + 1:]))
+            yield SchematicWord(sw.word, tuple(conds[:i] + [Global(c.p, c.reg + 1, c.wrt)] + conds[i + 1:]))
         for j in range(0 if isinstance(c, Neq) else len(c.wrt)):
-            fewer = replace(c, wrt=c.wrt[:j] + c.wrt[j + 1:])
+            fewer = _like(c, c.p, c.wrt[:j] + c.wrt[j + 1:])
             yield SchematicWord(sw.word, tuple(conds[:i] + [fewer] + conds[i + 1:]))
     slots = list(dict.fromkeys(x for x in sw.word if is_placeholder(x)))
     for x, y in itertools.combinations(slots, 2):
@@ -179,7 +183,7 @@ def test_equal_mod_renaming_tells_renamed_copies_from_mutants():
             images = [placeholder(40 + i) for i in range(len(phs))]
             rng.shuffle(images)
             copy = _subst(sw, dict(zip(phs, images)))
-            conds = [Neq(c.r, c.l) if isinstance(c, Neq) else replace(c, wrt=tuple(rng.sample(c.wrt, len(c.wrt))))
+            conds = [Neq(c.r, c.l) if isinstance(c, Neq) else _like(c, c.p, tuple(rng.sample(c.wrt, len(c.wrt))))
                      for c in copy.cond]
             rng.shuffle(conds)
             copy = SchematicWord(copy.word, tuple(conds))
@@ -202,7 +206,7 @@ def test_equal_mod_renaming_masks_condition_only_placeholders_first():
     conds = [Local(q, (p,)) for q in qs] + [Global(q, 1, (p, r)) for q, r in zip(qs[1:], qs)]
     sw = SchematicWord((p,), tuple(conds))
     assert equal_mod_renaming(sw, sw)
-    moved = conds[:-1] + [replace(conds[-1], reg=2)]
+    moved = conds[:-1] + [Global(conds[-1].p, 2, conds[-1].wrt)]
     for bad in (SchematicWord((p,), tuple(conds[1:])), SchematicWord((p,), tuple(moved))):
         start = time.perf_counter()
         assert not equal_mod_renaming(sw, bad) and not equal_mod_renaming(bad, sw)

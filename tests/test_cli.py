@@ -255,7 +255,8 @@ _LOADS = {
 def test_cli_leaves_the_oracle_unimported(lses_file, lses_json, tmp_path):
     # the reference semantics live in nomre.oracle alone, off the paths
     # that `import nomre` and the nomre command take: the package and the
-    # modules below it hold the name of no function or class the oracle defines
+    # modules below it hold the name of no function or class the oracle defines;
+    # nor does any subcommand load dataclasses or inspect
     moved = sorted(n for n, v in vars(nomre.oracle).items()
                    if (inspect.isfunction(v) or inspect.isclass(v)) and v.__module__ == "nomre.oracle")
     assert {"Configuration", "step", "accept_reference", "equal_mod_renaming"} <= set(moved)
@@ -267,7 +268,7 @@ def test_cli_leaves_the_oracle_unimported(lses_file, lses_json, tmp_path):
         "for m in (nomre, nomre.automata, nomre.nominal, nomre.calculus):\n"
         "    assert not [n for n in moved if hasattr(m, n)], m\n"
         "assert 'nomre.oracle' not in sys.modules\n"
-        "print(json.dumps([rc, loaded]))\n"
+        "print(json.dumps([rc, loaded, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n"
     )
     letters = ["--letters", "a,b"]
     commands = {
@@ -288,9 +289,27 @@ def test_cli_leaves_the_oracle_unimported(lses_file, lses_json, tmp_path):
         r = subprocess.run([sys.executable, "-c", code, json.dumps(argv), json.dumps(moved)],
                            env=env, capture_output=True, text=True)
         assert r.returncode == 0, (cmd, r.stderr)
-        rc, loaded = json.loads(r.stdout.splitlines()[-1])
+        rc, loaded, heavy = json.loads(r.stdout.splitlines()[-1])
         assert rc == 0, cmd
         assert set(loaded) == _LOADS[cmd], cmd
+        assert heavy == [], cmd
+
+
+def test_library_set_up_loads_no_dataclasses_inspect_or_json():
+    # from expression text to verdict in a fresh interpreter; json loads
+    # only when an automaton is read or written
+    code = (
+        "import sys\n"
+        "import nomre.corpus\n"
+        "from nomre import Letter, accept, compile_expr, name, parse\n"
+        "a = compile_expr(parse(nomre.corpus.LSES_TEXT, nomre.corpus.ALPHABET))\n"
+        "assert accept(a, (Letter('a'), Letter('b'), name('x'), name('y')))\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nomre.__file__)))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["[]"]
 
 
 def test_compile_dot_format(lses_file, lses_json, capsys):

@@ -165,6 +165,13 @@ def test_render_of_a_long_word_is_a_resource_limit():
     _assert_too_deep(lambda: render(e))
 
 
+def test_renaming_and_shape_tests_of_a_long_word_are_a_resource_limit():
+    e = P(" ".join(["a"] * 2000))
+    _assert_too_deep(lambda: apply_perm_expr({}, e))
+    _assert_too_deep(lambda: alpha_eq(e, e))
+    _assert_too_deep(lambda: classify_first_degree(e))
+
+
 def _letter_chain(n):
     states = [State("q%d" % i, 0, i == n) for i in range(n + 1)]
     return Cda(states, "q0", [("q%d" % i, lab_letter("a"), "q%d" % (i + 1)) for i in range(n)])

@@ -9,8 +9,8 @@ import threading
 
 import pytest
 
-from nomre.automata import accept, enumerate_words, word_sort_key
-from nomre.calculus import schematic_words_of
+from nomre.automata import Cda, CdaClass, ClassInfo, Label, State, accept, enumerate_words, word_sort_key
+from nomre.calculus import DerivationTree, Global, Local, Neq, SchematicWord, schematic_words_of
 from nomre.compiler import compile_expr
 from nomre.corpus import ALPHABET, LSES_TEXT, LTHS_TEXT, default_pool
 from nomre.nominal import (
@@ -24,8 +24,24 @@ from nomre.nominal import (
     transpose,
 )
 from nomre.errors import ValidationError
-from nomre.expr import ONE, ContextTriple, apply_perm_expr, parse
-from nomre.oracle import canonical_fresh
+from nomre.expr import (
+    ONE,
+    Bind,
+    Cat,
+    ContextTriple,
+    Issue,
+    Lit,
+    Nam,
+    One,
+    Star,
+    Sum,
+    Under,
+    Zero,
+    apply_perm_expr,
+    check_wellformed,
+    parse,
+)
+from nomre.oracle import Configuration, canonical_fresh
 from nre_helpers import apply_perm_word
 
 n, m, k = name("n"), name("m"), name("k")
@@ -191,3 +207,82 @@ def test_atoms_pickle_and_copy_to_the_interned_object():
     # a fresh interpreter interns the atoms of what it unpickles anew
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert list(pool.map(accept, itertools.repeat(after[0]), words, timeout=120)) == want
+
+
+def _value_samples():
+    """One value of each immutable value class, with the repr it had when
+    the classes were dataclasses."""
+    la, p = Letter("a"), placeholder(1)
+    lit = Lit(la)
+    return [
+        (Chronicle((n, m), m), "{$n $m @ $m}"),
+        (One(), "One()"),
+        (Zero(), "Zero()"),
+        (lit, "Lit(s=a)"),
+        (Nam(n), "Nam(n=$n)"),
+        (Under(n), "Under(n=$n)"),
+        (Sum(lit, Nam(n)), "Sum(l=Lit(s=a), r=Nam(n=$n))"),
+        (Cat(lit, Nam(n)), "Cat(l=Lit(s=a), r=Nam(n=$n))"),
+        (Star(lit), "Star(e=Lit(s=a))"),
+        (Bind(n, Nam(n), m), "Bind(n=$n, body=Nam(n=$n), close=$m)"),
+        (ContextTriple((n,), lit, (Chronicle((n,), n),)),
+         "ContextTriple(pre=($n,), payload=Lit(s=a), post=({$n @ $n},))"),
+        (Issue("scope-condition", "<$n.$n>$m", "why"),
+         "Issue(kind='scope-condition', subterm='<$n.$n>$m', detail='why')"),
+        (check_wellformed(Bind(n, Nam(n), m)),
+         "WfReport(ok=False, issues=(Issue(kind='scope-condition', subterm='<$n.$n>$m', "
+         "detail='close name $m is not bound by an enclosing binder'),), free=frozenset({$m}), "
+         "nre_class=<NreClass.P: 'p-NRE'>, free_reads=frozenset(), closes_in_pre=frozenset(), "
+         "closes_in_post=frozenset({$m}))"),
+        (Label("letter", letter=la), "a"),
+        (Label("reg", index=1), "r1"),
+        (Label("bogus", index=True), "Label('bogus', letter=None, index=True)"),
+        (State("q0", 0), "State(id='q0', regs=0, final=False)"),
+        (Cda((State("q0", 0, True),), "q0", ()),
+         "Cda(states=(State(id='q0', regs=0, final=True),), initial='q0', transitions=())"),
+        (ClassInfo(CdaClass.A), "ClassInfo(tag=<CdaClass.A: 'A#'>)"),
+        (Neq(n, p), "$n != *1"),
+        (Local(p, (n,)), "*1 # $n"),
+        (Global(p, 1, (n, m)), "*1 #_1 $n $m"),
+        (SchematicWord((la, n), (Neq(n, m),)), "[[ a $n | $n != $m ]]"),
+        (SchematicWord((), (), True), "[[ - | absurd ]]"),
+        (DerivationTree("one", (), ONE, ()),
+         "DerivationTree(rule='one', pre=(), expr=One(), post=(), children=(), h=None)"),
+        (Configuration("q0", 0, (Chronicle((n,), n),)),
+         "Configuration(state='q0', pos=0, extant=({$n @ $n},))"),
+    ]
+
+
+def test_values_are_immutable_and_compare_hash_print_and_copy_by_their_fields():
+    samples = _value_samples()
+    assert len({type(v) for v, _ in samples}) == 23
+    for v, text in samples:
+        cls = type(v)
+        fields = [f for f in cls.__slots__ if f != "__dict__"]
+        values = tuple(getattr(v, f) for f in fields)
+        assert repr(v) == text
+        for f in fields + ["other"]:
+            with pytest.raises(AttributeError):
+                setattr(v, f, None)
+            with pytest.raises(AttributeError):
+                delattr(v, f)
+        assert tuple(getattr(v, f) for f in fields) == values
+        twin = cls(*values)
+        if cls is DerivationTree:
+            # a derivation node compares and hashes by identity
+            assert twin != v and hash(twin) != hash(v)
+            assert all(repr(y) == text for y in _copies(v))
+            continue
+        assert twin == v and not twin != v and hash(twin) == hash(v) == hash(values)
+        assert all(y == v and hash(y) == hash(v) for y in _copies(v))
+    # the class is part of the value: equal fields in two classes differ
+    lit, x = Lit(Letter("a")), Nam(n)
+    for u, w in ((Sum(lit, x), Cat(lit, x)), (Nam(n), Under(n)), (One(), Zero()),
+                 (Local(n, (m,)), Neq(n, (m,))), (ClassInfo(n), Star(n))):
+        assert u != w and w != u and hash(u) == hash(w)
+    # an interned atom is shared by every holder, so it loses no field either
+    for x in (n, Letter("a")):
+        for f in type(x).__slots__:
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        assert x is _copies(x)[0]
