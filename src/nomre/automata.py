@@ -37,11 +37,7 @@ class Label(_Value):
     register index for reg, under and close."""
 
     __slots__ = ("kind", "letter", "index")
-
-    def __init__(self, kind, letter=None, index=None):
-        _set(self, "kind", kind)
-        _set(self, "letter", letter)
-        _set(self, "index", index)
+    _defaults = {"letter": None, "index": None}
 
     def shaped(self):
         """Whether the fields fit the kind: a Letter only for a letter, an int index only
@@ -94,11 +90,7 @@ def lab_close(i):
 
 class State(_Value):
     __slots__ = ("id", "regs", "final")
-
-    def __init__(self, id, regs, final=False):
-        _set(self, "id", id)
-        _set(self, "regs", regs)
-        _set(self, "final", final)
+    _defaults = {"final": False}
 
 
 # kind -> change of layer
@@ -188,9 +180,6 @@ class CdaClass(enum.Enum):
 
 class ClassInfo(_Value):
     __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        _set(self, "tag", tag)
 
 
 def class_of(a):

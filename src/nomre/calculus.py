@@ -23,7 +23,7 @@ are determined.
 
 import itertools
 
-from .errors import ContextError, ResourceLimitError
+from .errors import ContextError, ResourceLimitError, bounded
 from .expr import (
     Bind,
     Cat,
@@ -45,7 +45,6 @@ from .nominal import (
     Letter,
     Name,
     _Value,
-    _set,
     atom_key,
     check_bounds,
     check_word,
@@ -65,20 +64,12 @@ from .nominal import (
 class Neq(_Value):
     __slots__ = ("l", "r")
 
-    def __init__(self, l, r):
-        _set(self, "l", l)
-        _set(self, "r", r)
-
     def __repr__(self):
         return "%r != %r" % (self.l, self.r)
 
 
 class Local(_Value):
     __slots__ = ("p", "wrt")
-
-    def __init__(self, p, wrt):
-        _set(self, "p", p)
-        _set(self, "wrt", wrt)
 
     def __repr__(self):
         return "%r # %s" % (self.p, " ".join(map(repr, self.wrt)))
@@ -87,22 +78,13 @@ class Local(_Value):
 class Global(_Value):
     __slots__ = ("p", "reg", "wrt")
 
-    def __init__(self, p, reg, wrt):
-        _set(self, "p", p)
-        _set(self, "reg", reg)
-        _set(self, "wrt", wrt)
-
     def __repr__(self):
         return "%r #_%d %s" % (self.p, self.reg, " ".join(map(repr, self.wrt)))
 
 
 class SchematicWord(_Value):
     __slots__ = ("word", "cond", "void")
-
-    def __init__(self, word, cond, void=False):
-        _set(self, "word", word)
-        _set(self, "cond", cond)
-        _set(self, "void", void)
+    _defaults = {"void": False}
 
     def __repr__(self):
         if self.void:
@@ -123,16 +105,9 @@ class DerivationTree(_Value):
     no evaluation result. h is a star node's unfolding count."""
 
     __slots__ = ("rule", "pre", "expr", "post", "children", "h")
+    _defaults = {"children": (), "h": None}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, rule, pre, expr, post, children=(), h=None):
-        _set(self, "rule", rule)
-        _set(self, "pre", pre)
-        _set(self, "expr", expr)
-        _set(self, "post", post)
-        _set(self, "children", children)
-        _set(self, "h", h)
 
 
 def _binder_subcontext(e, pre, post):
@@ -165,6 +140,7 @@ def _check_context(t):
 _FOREST_CAP = 20000
 
 
+@bounded
 def ctxc_derive(t: ContextTriple, star_bound: int):
     """All resolved derivations of the triple, stars unfolded 0..star_bound."""
     _check_bound(star_bound, "star_bound")
@@ -298,6 +274,7 @@ def _concat(left, right, pre, shift):
     return w1 + w2, phi1 + phi2, post
 
 
+@bounded
 def lngc_results(tree: DerivationTree) -> dict:
     """Evaluate a resolved derivation bottom-up; map each of its nodes to
     its (schematic word, real post-context) pair.
@@ -568,6 +545,7 @@ class _Evaluator:
         raise TypeError(e)
 
 
+@bounded
 def _outcomes(e, budget, pre=(), post=()):
     """The fused evaluator's outcomes of e in its context, words <= budget;
     the context is checked first, and the empty one admits exactly the
@@ -656,6 +634,7 @@ _RULE_NAMES = {
 }
 
 
+@bounded
 def derivation_dump(e, star_bound=2, pre=(), post=()):
     """Linear proof-forest dump: one rule per line, with the evaluated
     schematic word and real post-context of every node."""

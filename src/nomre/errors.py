@@ -1,5 +1,6 @@
 """Exception hierarchy shared by the whole package."""
 
+import functools
 import sys
 
 
@@ -38,3 +39,14 @@ def too_deep():
     """The error for input nested past Python's recursion limit."""
     return ResourceLimitError("input nested too deeply for Python's recursion limit of %d"
                               % sys.getrecursionlimit())
+
+
+def bounded(fn):
+    """fn with a RecursionError raised inside it reported as too_deep()."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise too_deep() from None
+    return run

@@ -21,69 +21,56 @@ whitespace; ``<$n.$n> $m`` is a self-closing binder followed by the name m.
 import enum
 import re
 
-from .errors import ContextError, ParseError, too_deep
-from .nominal import Chronicle, Letter, Name, _Value, _set, check_renaming, hcv, name
+from .errors import ContextError, ParseError, bounded
+from .nominal import Chronicle, Letter, Name, _Atom, _Value, _field_repr, _set, check_renaming, hcv, name
 
 
-class One(_Value):
+class _Node(_Atom, base=True):
+    """An expression node, interned like a name: equal nodes are identical,
+    so == is identity, and a node hashes as its field tuple, computed once."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    __repr__ = _field_repr
+
+
+class One(_Node):
     __slots__ = ()
 
 
-class Zero(_Value):
+class Zero(_Node):
     __slots__ = ()
 
 
-class Lit(_Value):
+class Lit(_Node):
     __slots__ = ("s",)
 
-    def __init__(self, s):
-        _set(self, "s", s)
 
-
-class Nam(_Value):
+class Nam(_Node):
     __slots__ = ("n",)
 
-    def __init__(self, n):
-        _set(self, "n", n)
 
-
-class Under(_Value):
+class Under(_Node):
     __slots__ = ("n",)
 
-    def __init__(self, n):
-        _set(self, "n", n)
 
-
-class Sum(_Value):
+class Sum(_Node):
     __slots__ = ("l", "r")
 
-    def __init__(self, l, r):
-        _set(self, "l", l)
-        _set(self, "r", r)
 
-
-class Cat(_Value):
+class Cat(_Node):
     __slots__ = ("l", "r")
 
-    def __init__(self, l, r):
-        _set(self, "l", l)
-        _set(self, "r", r)
 
-
-class Star(_Value):
+class Star(_Node):
     __slots__ = ("e",)
 
-    def __init__(self, e):
-        _set(self, "e", e)
 
-
-class Bind(_Value):
+class Bind(_Node):
     __slots__ = ("n", "body", "close")
-
-    def __init__(self, n, body, close):
-        _set(self, "n", n)
-        _set(self, "body", body)
-        _set(self, "close", close)
 
 
 Nre = One | Zero | Lit | Nam | Under | Sum | Cat | Star | Bind
@@ -273,28 +260,24 @@ class _Parser:
         raise _parse_error(self.text, at, "unexpected %r" % (val or "end of input"))
 
 
+@bounded
 def parse(text, alphabet=()):
     """Parse expression text against a declared alphabet of letters. Text
     nested past Python's recursion limit is a ResourceLimitError."""
     alpha = {a.sym if isinstance(a, Letter) else a for a in alphabet}
     p = _Parser(text, _lex(text, alpha))
-    try:
-        e = p.expr()
-    except RecursionError:
-        raise too_deep() from None
+    e = p.expr()
     p.take("eof")
     return e
 
 
 # --------------------------------------------------------------- rendering
 
+@bounded
 def render(e):
-    """Canonical text form; parse(render(e)) is structurally e. An
-    expression nested past Python's recursion limit is a ResourceLimitError."""
-    try:
-        return _render(e, 0)
-    except RecursionError:
-        raise too_deep() from None
+    """Canonical text form; parse(render(e)) is e. An expression nested
+    past Python's recursion limit is a ResourceLimitError."""
+    return _render(e, 0)
 
 
 def _render(e, prec):
@@ -331,11 +314,6 @@ def _render(e, prec):
 class Issue(_Value):
     __slots__ = ("kind", "subterm", "detail")
 
-    def __init__(self, kind, subterm, detail):
-        _set(self, "kind", kind)
-        _set(self, "subterm", subterm)
-        _set(self, "detail", detail)
-
     def __str__(self):
         return "%s at `%s`: %s" % (self.kind, self.subterm, self.detail)
 
@@ -348,20 +326,12 @@ class WfReport(_Value):
 
     __slots__ = ("ok", "issues", "free", "nre_class", "free_reads", "closes_in_pre", "closes_in_post")
 
-    def __init__(self, ok, issues, free, nre_class, free_reads, closes_in_pre, closes_in_post):
-        _set(self, "ok", ok)
-        _set(self, "issues", issues)
-        _set(self, "free", free)
-        _set(self, "nre_class", nre_class)
-        _set(self, "free_reads", free_reads)
-        _set(self, "closes_in_pre", closes_in_pre)
-        _set(self, "closes_in_post", closes_in_post)
-
     @property
     def closed(self):
         return not self.free
 
 
+@bounded
 def check_wellformed(e):
     """The package's one scope walk: scope condition and underline locality
     issues, the free-name set, and the least grammar class, in one pass.
@@ -405,10 +375,7 @@ def check_wellformed(e):
         elif not isinstance(e, (One, Zero, Lit)):
             raise TypeError(e)
 
-    try:
-        go(e, frozenset(), ("post",))
-    except RecursionError:
-        raise too_deep() from None
+    go(e, frozenset(), ("post",))
     under, perm = Under in kinds, Bind in kinds
     cls = NreClass.UP if under and perm else NreClass.U if under else NreClass.P if perm else NreClass.B
     pre, post = frozenset(closes["pre"]), frozenset(closes["post"])
@@ -425,6 +392,7 @@ def free_names(e):
     return check_wellformed(e).free
 
 
+@bounded
 def apply_perm_expr(m, e):
     """Structural action of the renaming dict m (identity off its keys);
     maps binder and close names too. A non-injective m would capture names,
@@ -432,10 +400,7 @@ def apply_perm_expr(m, e):
     expression nested past Python's recursion limit is a
     ResourceLimitError."""
     check_renaming(m)
-    try:
-        return _rename(m, e)
-    except RecursionError:
-        raise too_deep() from None
+    return _rename(m, e)
 
 
 def _rename(m, e):
@@ -482,15 +447,14 @@ def _alpha_canon(e, env):
     raise TypeError(e)
 
 
+@bounded
 def alpha_eq(e1, e2):
     """Equality up to consistent renaming of bound names. An expression
     nested past Python's recursion limit is a ResourceLimitError."""
-    try:
-        return _alpha_canon(e1, []) == _alpha_canon(e2, [])
-    except RecursionError:
-        raise too_deep() from None
+    return _alpha_canon(e1, []) == _alpha_canon(e2, [])
 
 
+@bounded
 def classify_first_degree(e):
     """Prefix length h when e is an h-prefixed first-degree expression.
 
@@ -528,7 +492,4 @@ def classify_first_degree(e):
             )
         return False
 
-    try:
-        return len(prefix) if fne_ok(node, set(prefix)) else None
-    except RecursionError:
-        raise too_deep() from None
+    return len(prefix) if fne_ok(node, set(prefix)) else None

@@ -60,7 +60,7 @@ def _eliminate(nodes, edges, sources, sinks):
     def add(f, t, e):
         cur = succ.setdefault(f, {}).get(t)
         if cur is not None:
-            e = cur if cur == e else Sum(cur, e)
+            e = cur if cur is e else Sum(cur, e)
         succ[f][t] = pred.setdefault(t, {})[f] = e
 
     for f, e, t in edges:

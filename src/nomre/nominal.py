@@ -33,24 +33,53 @@ class _Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
+def _compile(cls, name, params, body, **env):
+    """The method cls.name compiled from source, as namedtuple builds its
+    __new__: a constructor generated for its fields runs no loop per call."""
+    ns = {}
+    exec("def %s(%s):\n%s" % (name, ", ".join(params), body), env, ns)
+    fn = ns[name]
+    fn.__qualname__ = "%s.%s" % (cls.__qualname__, name)
+    fn.__module__ = cls.__module__
+    return fn
+
+
+def _field_repr(v):
+    return "%s(%s)" % (type(v).__qualname__, ", ".join("%s=%r" % (f, getattr(v, f)) for f in v._fields))
+
+
 class _Atom(_Frozen):
     """An interned immutable atom: equal fields give the identical object,
     also after pickle, copy and deepcopy, which rebuild it through the
-    constructor. A subclass lists its fields in __slots__ and keeps its own
-    _table; setdefault makes a race between two threads intern one object."""
+    constructor. A subclass lists its fields in __slots__ and gets its own
+    table and a constructor that looks its field tuple up there; an atom
+    defines no __bool__ or __len__, so a hit is true. A base passes
+    base=True and gets neither."""
 
     __slots__ = ()
 
-    def __new__(cls, *fields):
-        obj = cls._table.get(fields)
-        if obj is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError("%s takes %s" % (cls.__name__, ", ".join(cls.__slots__)))
-            obj = super().__new__(cls)
-            for slot, value in zip(cls.__slots__, fields):
-                _set(obj, slot, value)
-            obj = cls._table.setdefault(fields, obj)
-        return obj
+    def __init_subclass__(cls, base=False):
+        if base:
+            return
+        cls._fields = fields = cls.__slots__
+        cls._table = {}
+        cls.__new__ = staticmethod(_compile(
+            cls, "__new__", ("_cls",) + fields,
+            "    _key = (%s)\n"
+            "    return _table.get(_key) or _cls._intern(_key)\n" % "".join(f + ", " for f in fields),
+            _table=cls._table))
+
+    @classmethod
+    def _intern(cls, key):
+        """The atom of a field tuple not in the table yet; setdefault makes a
+        race between two threads intern one object. A subclass of a base
+        with a _hash slot stores the hash of its field tuple there, once."""
+        obj = object.__new__(cls)
+        for f, value in zip(cls._fields, key):
+            _set(obj, f, value)
+        if hasattr(cls, "_hash"):
+            _set(obj, "_hash", hash(key))
+        return cls._table.setdefault(key, obj)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
@@ -66,29 +95,35 @@ def _hash_field(v):  # the attrgetter of one field gives it bare
 
 class _Value(_Frozen):
     """An immutable value. A subclass lists its fields in __slots__, in
-    constructor order, and sets them with _set in its own __init__; a
+    constructor order, and its trailing defaults in a _defaults dict; a
     "__dict__" entry there is no field but room for cached properties.
+    Unless the subclass writes its own __init__, which sets its fields with
+    _set, it gets one generated from that list, as namedtuple does.
     Values are equal when they have the same class and equal fields, and
     hash as their field tuple; repr is Class(field=value, ...). pickle, copy
     and deepcopy rebuild a value through its constructor, then restore its
     __dict__."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
-        cls._fields = tuple(s for s in cls.__slots__ if s != "__dict__")
-        cls._get = operator.attrgetter(*cls._fields) if cls._fields else staticmethod(lambda v: ())
+        cls._fields = fields = tuple(s for s in cls.__slots__ if s != "__dict__")
+        cls._get = operator.attrgetter(*fields)
         if "__hash__" not in vars(cls):
-            cls.__hash__ = _hash_field if len(cls._fields) == 1 else _hash_fields
+            cls.__hash__ = _hash_field if len(fields) == 1 else _hash_fields
+        if "__init__" not in vars(cls):
+            cls.__init__ = _compile(cls, "__init__", ("self",) + fields,
+                                    "".join("    _set(self, %r, %s)\n" % (f, f) for f in fields),
+                                    _set=_set)
+            cls.__init__.__defaults__ = tuple(cls._defaults[f] for f in fields if f in cls._defaults)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._get(self) == other._get(other)
 
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__,
-                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+    __repr__ = _field_repr
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields), getattr(self, "__dict__", None)
@@ -102,8 +137,6 @@ class Name(_Atom):
     K_USER = 0
     K_SYS = 1
     K_PH = 2
-
-    _table = {}
 
     def sort_key(self):
         return (self.kind, self.key)
@@ -142,7 +175,6 @@ class Letter(_Atom):
     """A symbol of the finite alphabet. Interned like Name."""
 
     __slots__ = ("sym",)
-    _table = {}
 
     def __repr__(self):
         return self.sym

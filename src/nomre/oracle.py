@@ -21,18 +21,13 @@ from .calculus import Global, Neq, SchematicWord, ctxc_derive, lngc_eval, schema
 from .calculus import _cond_ok
 from .errors import ResourceLimitError, ValidationError
 from .expr import ContextTriple
-from .nominal import Chronicle, Name, _Value, _set, hcv, is_placeholder, sys_name
+from .nominal import Chronicle, Name, _Value, hcv, is_placeholder, sys_name
 
 
 # ----------------------------------------------------------- run semantics
 
 class Configuration(_Value):
     __slots__ = ("state", "pos", "extant")  # extant: a tuple of Chronicles, register order
-
-    def __init__(self, state, pos, extant):
-        _set(self, "state", state)
-        _set(self, "pos", pos)
-        _set(self, "extant", extant)
 
 
 def canonical_fresh(avoid):

@@ -28,7 +28,7 @@ from nomre.calculus import (
 from nomre.compiler import ContextTriple, compile_expr, compile_in_context
 from nomre.corpus import ALPHABET, BIG_TEXT, DIAMOND_TEXT, default_pool
 from nomre.errors import ContextError, NomreError, ResourceLimitError, ValidationError
-from nomre.expr import ONE, Bind, Cat, Lit, Nam, Star, Sum, Under, parse, render
+from nomre.expr import ONE, Bind, Cat, Lit, Nam, Star, Sum, Under, check_wellformed, parse, render
 from nomre.genexpr import corpus_of_classes, random_nre
 from nomre.nominal import (
     Chronicle,
@@ -109,6 +109,25 @@ def test_outcome_cap(monkeypatch):
     monkeypatch.setattr(calculus, "_OUTCOME_CAP", 5)
     with pytest.raises(ResourceLimitError, match="schematic outcome set exceeds 5 entries"):
         language_enumerate(P("(a + b)*"), default_pool(3), 4)
+
+
+def test_calculus_of_a_long_word_is_a_resource_limit():
+    # check_wellformed accepts the word, but the evaluators take one or two
+    # frames per nesting level, and they report the limit, not a bare
+    # RecursionError
+    e = P(" ".join(["a"] * 600))
+    assert check_wellformed(e).ok
+    w = [Letter("a")] * 600
+    tree = ctxc_derive(ContextTriple((), e, ()), 0)[0]
+    for run in (
+        lambda: language_member(e, w),
+        lambda: language_enumerate(e, default_pool(1), 600),
+        lambda: schematic_words_of(e, maxlen=600),
+        lambda: derivation_dump(e, 0),
+        lambda: lngc_results(tree),
+    ):
+        with pytest.raises(ResourceLimitError, match="recursion limit"):
+            run()
 
 
 from golden_data import big_expected_neqs, big_expected_structured, diamond_expected

@@ -172,6 +172,14 @@ def test_renaming_and_shape_tests_of_a_long_word_are_a_resource_limit():
     _assert_too_deep(lambda: classify_first_degree(e))
 
 
+def test_equality_and_hash_of_a_long_word_take_no_recursion():
+    # two parses build the same interned node, whose hash was computed once
+    text = " ".join(["a"] * 4000)
+    e, f = P(text), P(text)
+    assert e is f and e == f and not e != f and hash(e) == hash(f)
+    assert e in {f} and {f: 1}[e] == 1
+
+
 def _letter_chain(n):
     states = [State("q%d" % i, 0, i == n) for i in range(n + 1)]
     return Cda(states, "q0", [("q%d" % i, lab_letter("a"), "q%d" % (i + 1)) for i in range(n)])

@@ -161,12 +161,12 @@ def test_interning_is_thread_safe():
     try:
         for trial in range(100):
             spellings = ["race%d_%d" % (trial, i) for i in range(200)]
-            barrier = threading.Barrier(8)
+            barrier = threading.Barrier(8, timeout=60)
             got = [None] * 8
 
             def intern(slot):
                 barrier.wait()
-                got[slot] = [(name(s), Letter(s)) for s in spellings]
+                got[slot] = [(name(s), Letter(s), Cat(Lit(Letter(s)), Nam(name(s)))) for s in spellings]
 
             threads = [threading.Thread(target=intern, args=(i,)) for i in range(8)]
             for t in threads:
@@ -174,7 +174,7 @@ def test_interning_is_thread_safe():
             for t in threads:
                 t.join()
             for objs in got[1:]:
-                assert all(x is y and u is v for (x, u), (y, v) in zip(got[0], objs))
+                assert all(x is y for xs, ys in zip(got[0], objs) for x, y in zip(xs, ys))
     finally:
         sys.setswitchinterval(old)
 

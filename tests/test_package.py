@@ -1,10 +1,11 @@
 """The public names of the package: which they are, where they live, and
-that loading them on first use gives every caller the same objects; and
-the CI workflows that test the package."""
+that loading them on first use gives every caller the same objects; the
+CI workflows that test the package; and the code in its README."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -135,3 +136,13 @@ def test_committed_bench_files_name_a_declared_gain():
         if gain is not None:
             assert gain["workload"] in workloads, f
             assert gain["metric"] in metrics, f
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README runs as written, so the library
+    # sketch cannot drift from the API that the text around it describes
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
