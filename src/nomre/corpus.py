@@ -7,7 +7,6 @@ automata mirror the figures: they are independent of the compiler and feed
 the round-trip and differential suites.
 """
 
-from .automata import Cda, EPS, STAR, State, lab_close, lab_letter, lab_reg, lab_under
 from .nominal import Letter, Name, name
 
 ALPHABET = ("a", "b", "d")
@@ -77,13 +76,16 @@ def lonet_predicate(w):
 
 
 # --------------------------------------------------------- hand automata
+# Builders import the automaton module, so the texts above load without it.
 
 def _cda(states, initial, transitions):
+    from .automata import Cda, State
     return Cda(tuple(State(i, r, f) for i, r, f in states), initial, tuple(transitions))
 
 
 def lses_automaton():
     """Five states, two layers: a, b, allocate, loop on underlined reads, close."""
+    from .automata import STAR, lab_close, lab_letter, lab_under
     return _cda(
         [("q0", 0, False), ("q1", 0, False), ("q2", 0, False), ("q3", 1, False), ("q4", 0, True)],
         "q0",
@@ -99,6 +101,7 @@ def lses_automaton():
 
 def lonet_automaton():
     """One run: globally fresh r, then two allocate/read pairs, then closes."""
+    from .automata import STAR, lab_close, lab_letter, lab_reg, lab_under
     return _cda(
         [
             ("q0", 0, False), ("q1", 0, False), ("q2", 0, False),
@@ -126,6 +129,7 @@ def lonet_automaton():
 
 def lths_automaton():
     """Sessions r w r with delegation: thread pairs on layer 3, a d per hop."""
+    from .automata import EPS, STAR, lab_close, lab_letter, lab_reg, lab_under
     return _cda(
         [
             ("q0", 0, False), ("q1", 0, False), ("q2", 0, False),
@@ -158,6 +162,7 @@ def lths_automaton():
 
 def small_automata():
     """Hand-built fixtures beyond the three scenario automata."""
+    from .automata import EPS, STAR, lab_close, lab_letter, lab_reg, lab_under
     out = {}
     out["letters_only"] = _cda(
         [("s0", 0, False), ("s1", 0, False), ("s2", 0, True)],

@@ -7,10 +7,13 @@ Extraction folds layers top-down: every excursion that enters layer k+1 by
 a binder over the canonical k+1st name, closing on the canonical i-th name.
 One state elimination per layer produces the label expressions for all
 entry/exit pairs at once: every ``*`` target is a source, every close
-source a sink.
-Canonical register naming (n1, n2, ...) is fixed; alpha-equivalence makes
-the choice immaterial.
+source a sink. It removes the state of least in*out - in - out first (ties
+by id), which keeps round trips from growing. Canonical register naming
+(n1, n2, ...) is fixed; alpha-equivalence makes the choice immaterial.
 """
+
+from functools import lru_cache
+from heapq import heappop, heappush
 
 from .automata import Cda
 from .errors import ValidationError
@@ -18,6 +21,7 @@ from .expr import LETTER_RE, Bind, Cat, Lit, Nam, ONE, One, Star, Sum, Under, ZE
 from .nominal import name
 
 
+@lru_cache(maxsize=None)
 def canonical_register_name(i):
     return name("n%d" % i)
 
@@ -50,18 +54,30 @@ def _eliminate(nodes, edges, sources, sinks):
 
     ``sources`` maps a source tag to the node it enters and ``sinks`` maps a
     node to the sink tag it leaves by; several nodes may share a sink tag.
-    Tags are never eliminated, so one pass over ``nodes`` (ascending id
-    order) yields every path expression. Returns {(source tag, sink tag):
-    expression}, with no entry where no path exists.
+    Tags are never eliminated, so one pass over ``nodes`` yields every path
+    expression. The next node has the least in*out - in - out, self loops
+    excluded and ties broken by id (Delgado & Morais, CIAA 2004); a heap
+    keeps the weights, re-weighs only an eliminated node's neighbours and
+    skips stale entries. Returns {(source tag, sink tag): expression}, with
+    no entry where no path exists.
     """
-    succ = {}  # node -> {successor: label}
-    pred = {}  # node -> {predecessor: label}
+    succ = {s: {} for s in (*nodes, *sources)}  # node or tag -> {successor: label}
+    pred = {s: {} for s in (*nodes, *sinks.values())}  # node or tag -> {predecessor: label}
+    current, heap = {}, []  # node -> its weight plus 1; (weight plus 1, node)
 
     def add(f, t, e):
-        cur = succ.setdefault(f, {}).get(t)
+        cur = succ[f].get(t)
         if cur is not None:
             e = cur if cur is e else Sum(cur, e)
-        succ[f][t] = pred.setdefault(t, {})[f] = e
+        succ[f][t] = pred[t][f] = e
+
+    def weigh(n):  # (in - 1) * (out - 1) is in*out - in - out plus 1
+        out = succ[n]
+        loop = n in out
+        w = (len(pred[n]) - loop - 1) * (len(out) - loop - 1)
+        if current.get(n) != w:
+            current[n] = w
+            heappush(heap, (w, n))
 
     for f, e, t in edges:
         add(f, t, e)
@@ -69,9 +85,15 @@ def _eliminate(nodes, edges, sources, sinks):
         add(tag, node, ONE)
     for node, tag in sinks.items():
         add(node, tag, ONE)
-    for s in sorted(nodes):
-        outs = succ.pop(s, {})
-        ins = pred.pop(s, {})
+    for s in nodes:
+        weigh(s)
+    while heap:
+        w, s = heappop(heap)
+        if current.get(s) != w:
+            continue
+        del current[s]
+        outs = succ.pop(s)
+        ins = pred.pop(s)
         loop = outs.pop(s, None)
         ins.pop(s, None)
         for f in ins:
@@ -83,7 +105,10 @@ def _eliminate(nodes, edges, sources, sinks):
             piece = ein if mid is None else mk_cat(ein, mid)
             for t, eout in outs.items():
                 add(f, t, mk_cat(piece, eout))
-    return {(tag, t): e for tag in sources for t, e in succ.get(tag, {}).items()}
+        for n in (*ins, *outs):
+            if n in current:
+                weigh(n)
+    return {(tag, t): e for tag in sources for t, e in succ[tag].items()}
 
 
 def _atom(lab):

@@ -117,6 +117,31 @@ def test_eliminate_all_pairs_agree_with_single_pairs(monkeypatch, corpus_exprs):
     assert len(pairs_per_call) > len(autos) and max(pairs_per_call) > 1
 
 
+def _round_trip(e):
+    """The text of the extraction of e's compiled automaton."""
+    return render(extract_expr(compile_expr(e)))
+
+
+def _first_two_trips(e):
+    """The texts of two round trips from e; the second is checked before a
+    third is built, since a growing text grows faster with every trip."""
+    first = _round_trip(e)
+    second = _round_trip(P(first))
+    assert len(second) <= 1.25 * len(first), (render(e), len(first), len(second))
+    return first, second
+
+
+def test_second_round_trip_of_random_expressions_keeps_its_size():
+    for e in corpus_of_classes(seed=103, total=200):
+        _first_two_trips(e)
+
+
+def test_round_trips_of_corpus_texts_reach_a_fixed_point():
+    for key, text in all_expr_texts().items():
+        _, second = _first_two_trips(P(text))
+        assert _round_trip(P(second)) == second, key
+
+
 GOLDEN_EXTRACT = os.path.join(os.path.dirname(__file__), "golden", "extract.txt")
 
 

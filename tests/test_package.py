@@ -108,6 +108,24 @@ def test_first_access_from_many_threads():
     assert r.stdout.split() == ["ok"]
 
 
+def test_corpus_texts_load_without_the_automaton_module():
+    # the expression texts need no automaton; the hand-built automata import it
+    code = (
+        "import sys\n"
+        "from nomre.corpus import LSES_TEXT, handbuilt_automata\n"
+        "assert LSES_TEXT and 'nomre.automata' not in sys.modules\n"
+        "from nomre.automata import Cda\n"
+        "autos = handbuilt_automata()\n"
+        "assert len(autos) == 10 and all(type(a) is Cda for a in autos.values())\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nomre.__file__)))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ok"]
+
+
 def test_ci_workflows_are_valid_yaml():
     # CI rejects a workflow that does not parse, and then runs none of its steps
     yaml = pytest.importorskip("yaml")
